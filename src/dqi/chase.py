@@ -561,7 +561,6 @@ class TypeClosure:
     forced: Mapping[FactType, FrozenSet[int]]
     edges: Tuple[TypeEdge, ...]
     reachable: FrozenSet[FactType]
-    visible_reach: Mapping[FactType, FrozenSet[FactType]]
 
 
 def _collapse(t: FactType, forced: Mapping[FactType, FrozenSet[int]]) -> FactType:
@@ -647,29 +646,10 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
                 reachable.add(stable_target)
                 queue.append(stable_target)
 
-    visible_reach: Dict[FactType, Set[FactType]] = {}
-    for t in reachable:
-        visible_reach[t] = set()
-    edge_by_src: Dict[FactType, List[TypeEdge]] = {}
-    for e in edges:
-        edge_by_src.setdefault(e.source, []).append(e)
-    changed = True
-    while changed:
-        changed = False
-        for t in reachable:
-            for e in edge_by_src.get(t, ()):  # pragma: no branch
-                adds = set()
-                if s.decl(e.target.relation).visible:
-                    adds.add(e.target)
-                adds |= visible_reach.get(e.target, set())
-                if not adds <= visible_reach[t]:
-                    visible_reach[t] |= adds
-                    changed = True
     return TypeClosure(
         forced=forced_fz,
         edges=tuple(edges),
         reachable=frozenset(reachable),
-        visible_reach={k: frozenset(v) for k, v in visible_reach.items()},
     )
 
 

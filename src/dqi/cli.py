@@ -153,6 +153,13 @@ def _value_json(v) -> str:
     return repr(v)
 
 
+def _write_facts_tsv(path: str, instance: Instance) -> None:
+    """One line per fact in sorted order: the relation, then each value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in instance.sorted_facts():
+            fh.write(f"{f.relation}\t" + "\t".join(_value_json(a) for a in f.args) + "\n")
+
+
 def _verdict_word(value: Optional[bool]) -> str:
     if value is True:
         return "true"
@@ -347,9 +354,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         print(f"status: {result.status}")
         print(f"facts: {len(result.instance.facts)}")
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                for f in result.instance.sorted_facts():
-                    fh.write(f"{f.relation}\t" + "\t".join(_value_json(a) for a in f.args) + "\n")
+            _write_facts_tsv(args.trace, result.instance)
         return EXIT_TRUE if result.status == SATURATED else EXIT_UNKNOWN
     if args.variant == "visible":
         v = _pick_instance(pf, args.instance, args.file)
@@ -369,9 +374,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     for f in result.instance.sorted_facts():
         print(f"  {f.relation}({', '.join(_value_json(a) for a in f.args)})")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for f in result.instance.sorted_facts():
-                fh.write(f"{f.relation}\t" + "\t".join(_value_json(a) for a in f.args) + "\n")
+        _write_facts_tsv(args.trace, result.instance)
     return EXIT_TRUE if result.status == SATURATED else EXIT_UNKNOWN
 
 
@@ -392,9 +395,7 @@ def _cmd_gfp(args: argparse.Namespace) -> int:
     print(f"goal: {_verdict_word(goal)}")
     print(f"fixpoint facts: {len(fixpoint.facts)}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for f in fixpoint.sorted_facts():
-                fh.write(f"{f.relation}\t" + "\t".join(_value_json(a) for a in f.args) + "\n")
+        _write_facts_tsv(args.trace, fixpoint)
     return EXIT_TRUE if goal else EXIT_FALSE
 
 

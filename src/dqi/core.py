@@ -452,6 +452,21 @@ def map_instance(instance: Instance, value_map: Mapping[Value, Value]) -> Instan
     return Instance(instance.schema, frozenset(facts))
 
 
+def ground_nulls(i: Instance) -> Instance:
+    """Replace labelled nulls with fresh constants (an isomorphic renaming,
+    so constraint satisfaction and query polarity are preserved)."""
+    taken = {v.name for v in active_domain(i) if isinstance(v, Const)}
+    mapping: Dict[Value, Value] = {}
+    for val in sorted(active_domain(i), key=value_key):
+        if isinstance(val, Null):
+            name = f"!n{val.id}"
+            while name in taken:
+                name = "_" + name
+            taken.add(name)
+            mapping[val] = Const(name)
+    return map_instance(i, mapping) if mapping else i
+
+
 def instance_hom_exists(source: Instance, target: Instance) -> bool:
     """Is there a homomorphism source -> target fixing constants?"""
     atoms = []
@@ -524,7 +539,6 @@ CONNECTED_TAG = "ConnectedBody"
 DISJ_TAG = "DisjunctiveHead"
 CONST_TAG = "HasConstants"
 EGD_TAG = "HasEGD"
-CQVIEW_TAG = "CQViewScenario"
 
 
 def _atom_constants(a: Atom) -> bool:
@@ -536,6 +550,27 @@ def _dep_atoms(dep: Dependency) -> Iterator[Atom]:
     if isinstance(dep, TGD):
         for h in dep.heads:
             yield from h.atoms
+
+
+def constant_names(
+    c: Optional[ConstraintSet] = None, q: Optional[UCQ] = None
+) -> Tuple[str, ...]:
+    """Sorted names of the constants that the constraints (EGD sides
+    included) or the query mention: a hidden witness may have to use them
+    even when the visible part does not."""
+    names = set()
+    if c is not None:
+        for dep in c.dependencies:
+            terms = [t for a in _dep_atoms(dep) for t in a.args]
+            if isinstance(dep, EGD):
+                terms += [dep.left, dep.right]
+            names.update(t.name for t in terms if isinstance(t, CName))
+    if q is not None:
+        names.update(
+            t.name for d in q.disjuncts for a in d.atoms for t in a.args
+            if isinstance(t, CName)
+        )
+    return tuple(sorted(names))
 
 
 def _is_id(t: TGD) -> bool:
@@ -575,58 +610,6 @@ def _is_connected(t: TGD) -> bool:
     return len(reached) == len(atoms)
 
 
-def _rename_key(atoms: Sequence[Atom]) -> Tuple:
-    """Canonical form of an atom set up to variable renaming."""
-    order: Dict[Var, int] = {}
-    out = []
-    for a in sorted(atoms, key=lambda a: (a.relation, len(a.args))):
-        sig = []
-        for t in a.args:
-            if isinstance(t, CName):
-                sig.append(("c", t.name))
-            else:
-                if t not in order:
-                    order[t] = len(order)
-                sig.append(("v", order[t]))
-        out.append((a.relation, tuple(sig)))
-    return tuple(sorted(out))
-
-
-def _is_cq_view_scenario(c: ConstraintSet, s: Schema) -> bool:
-    """All dependencies pair up as a view definition per visible relation:
-    R(x) -> exists y. phi(x, y) together with phi(x, y) -> R(x)."""
-    deps = list(c.dependencies)
-    if not deps or any(isinstance(d, EGD) for d in deps):
-        return False
-    tgds = [d for d in deps if isinstance(d, TGD)]
-    if any(len(t.heads) != 1 for t in tgds):
-        return False
-    used = set()
-    for i, t1 in enumerate(tgds):
-        if i in used:
-            continue
-        if len(t1.body) != 1:
-            continue
-        r_atom = t1.body[0]
-        if not s.decl(r_atom.relation).visible:
-            continue
-        if any(not isinstance(x, Var) for x in r_atom.args) or len(set(r_atom.args)) != len(r_atom.args):
-            continue
-        phi = t1.heads[0].atoms
-        for j, t2 in enumerate(tgds):
-            if j == i or j in used:
-                continue
-            if t2.heads[0].exist_vars or len(t2.heads[0].atoms) != 1:
-                continue
-            back = t2.heads[0].atoms[0]
-            if back.relation != r_atom.relation:
-                continue
-            if _rename_key(tuple(phi) + (r_atom,)) == _rename_key(tuple(t2.body) + (back,)):
-                used.update({i, j})
-                break
-    return len(used) == len(tgds) and bool(tgds)
-
-
 def classify(c: ConstraintSet, s: Schema) -> FrozenSet[str]:
     """Syntactic class tags of a constraint set; recomputable and order-stable."""
     tags = set()
@@ -647,8 +630,6 @@ def classify(c: ConstraintSet, s: Schema) -> FrozenSet[str]:
         tags.add(FGTGD_TAG)
     if all(_is_connected(t) for t in tgds) and all(_is_connected_egd(e) for e in c.egds):
         tags.add(CONNECTED_TAG)
-    if _is_cq_view_scenario(c, s):
-        tags.add(CQVIEW_TAG)
     return frozenset(tags)
 
 

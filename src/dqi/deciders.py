@@ -24,7 +24,6 @@ from .core import (
     ConstraintSet,
     Fact,
     Instance,
-    Null,
     Schema,
     Value,
     Var,
@@ -32,7 +31,7 @@ from .core import (
     classify,
     canonical_db,
     eval_ucq,
-    map_instance,
+    ground_nulls,
     normalize_single_head,
     satisfies,
     value_key,
@@ -124,21 +123,6 @@ def _tree_stats(tree: ChaseTree) -> ChaseExhausted:
 def _require_boolean(q: UCQ) -> None:
     if q.free_vars:
         raise ClassError("this decision requires a Boolean query; use the per-tuple variant")
-
-
-def ground_nulls(i: Instance) -> Instance:
-    """Replace labelled nulls with fresh constants (an isomorphic renaming,
-    so constraint satisfaction and query polarity are preserved)."""
-    taken = {v.name for v in active_domain(i) if isinstance(v, Const)}
-    mapping: Dict[Value, Value] = {}
-    for val in sorted(active_domain(i), key=value_key):
-        if isinstance(val, Null):
-            name = f"!n{val.id}"
-            while name in taken:
-                name = "_" + name
-            taken.add(name)
-            mapping[val] = Const(name)
-    return map_instance(i, mapping) if mapping else i
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,16 @@ polynomial data time.  The pipeline has three stages:
    program whose rules gate every hidden tuple on the active domain and on
    the heads of the constraints it must satisfy.
 3. ``eval_gfp`` initialises every intensional relation maximally over the
-   active domain plus program constants and descends to the greatest
+   active domain plus program constants, then deletes facts until every
+   survivor is derived by a rule instance whose body survives: the greatest
    fixpoint of the immediate consequence operator.
 
-``nqi_via_gfp`` runs the stages, then shrinks the fixpoint to the largest
-sub-instance that genuinely satisfies the constraints, which makes the final
-answer independent of how tightly the rule bodies approximate the
-constraints.
+``nqi_via_gfp`` runs stage 1 (not needed for inclusion dependencies without
+constants) and stage 2, then prunes the program's maximal database to the
+largest sub-instance that genuinely satisfies the constraints, which makes
+the final answer independent of how tightly the rule bodies approximate
+the constraints.  Both prunings are one support-counting deletion pass,
+``_prune_unsupported``.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from .core import (
     apply_hom,
     boolean_cq,
     classify,
+    constant_names,
     eval_ucq,
     find_homomorphisms,
     normalize_single_head,
@@ -92,17 +96,6 @@ def pattern_of_terms(terms: Sequence[Union[Var, CName]]) -> Pattern:
     return _canon(
         [("c", t.name) if isinstance(t, CName) else ("v", t) for t in terms]
     )
-
-
-def pattern_of_values(values: Sequence[Value], pool: FrozenSet[str]) -> Pattern:
-    """Equality pattern of a value tuple; constants in `pool` stay named."""
-    entries: List[Entry] = []
-    for v in values:
-        if isinstance(v, Const) and v.name in pool:
-            entries.append(("c", v.name))
-        else:
-            entries.append(("v", v))
-    return _canon(entries)
 
 
 def canonical_patterns(n: int, constants: Sequence[str]) -> List[Pattern]:
@@ -225,25 +218,6 @@ def _require_plain_linear(
         raise ClassError("constraints must be linear TGDs (single body atom)")
 
 
-def _constant_pool(c: ConstraintSet, q: UCQ) -> List[str]:
-    names: Set[str] = set()
-    for dep in c.dependencies:
-        atoms: List[Atom] = list(dep.body)
-        if isinstance(dep, TGD):
-            for h in dep.heads:
-                atoms.extend(h.atoms)
-        else:
-            for t in (dep.left, dep.right):
-                if isinstance(t, CName):
-                    names.add(t.name)
-        for a in atoms:
-            names.update(t.name for t in a.args if isinstance(t, CName))
-    for d in q.disjuncts:
-        for a in d.atoms:
-            names.update(t.name for t in a.args if isinstance(t, CName))
-    return sorted(names)
-
-
 def _copy_name(base: str, idx: int, taken: Set[str]) -> str:
     name = f"{base}_c{idx}"
     while name in taken:
@@ -311,7 +285,7 @@ def transform_adom(
     if q.free_vars:
         raise ClassError("the transform expects a Boolean query")
     c, s = normalize_single_head(c, s)
-    pool = _constant_pool(c, q)
+    pool = constant_names(c, q)
     taken = set(s.by_name)
 
     # copies of every hidden relation, one per (selected set, pattern)
@@ -630,7 +604,7 @@ def build_gfp_program(
     taken = set(s.by_name)
     a_name = _fresh_name("A", taken)
     goal_name = _fresh_name("Goal", taken)
-    constants = sorted(set(_constant_pool(c, q)) | set(extra_constants))
+    constants = sorted(set(constant_names(c, q)) | set(extra_constants))
 
     rules: List[DatalogRule] = []
     # the active-domain relation: every position of every visible fact,
@@ -683,7 +657,7 @@ def build_gfp_program(
                     continue
                 if len(t.heads) > 1:
                     # a disjunctive obligation cannot become a conjunct; the
-                    # shrink pass enforces it instead
+                    # largest-model pass enforces it instead
                     continue
                 disjunct = t.heads[0]
                 ren = {
@@ -717,37 +691,26 @@ def build_gfp_program(
     )
 
 
-def eval_gfp(p: GFPProgram, ext: Instance) -> Tuple[bool, Instance]:
-    """Descend from the maximal intensional database to the greatest
-    fixpoint of the immediate consequence operator."""
+def _maximal_database(p: GFPProgram, ext: Instance) -> Set[Fact]:
+    """The intensional facts derived in one step from the maximal database.
+
+    Against the maximal intensional database an intensional body atom is
+    satisfied by every domain assignment, so only the extensional atoms
+    constrain the match and unpinned head variables range over the whole
+    domain (the active domain plus the program constants).  This avoids
+    ever materialising the |domain|^arity cross products.
+    """
     for f in ext.facts:
         if f.relation not in p.extensional:
             raise SchemaError(f"{f.relation} is not extensional")
-    arity = p.arity
     domain = sorted(
         set(active_domain(ext)) | {Const(n) for n in p.constants}, key=value_key
     )
-    current: Dict[str, Set[Tuple[Value, ...]]] = {
-        name: {f.args for f in ext.facts_of(name)} for name in p.extensional
-    }
     domain_set = set(domain)
-    intensional = set(p.intensional)
-
-    # First descent step, taken symbolically: against the maximal
-    # intensional database an intensional body atom is satisfied by every
-    # domain assignment, so only the extensional atoms constrain the match
-    # and unpinned head variables range over the whole domain.  This avoids
-    # ever materialising the |domain|^arity cross products.
-    ext_fact_list = [
-        Fact(name, args) for name in p.extensional for args in current[name]
-    ]
-    for name in p.intensional:
-        current[name] = set()
+    out: Set[Fact] = set()
     for r in p.rules:
-        if r.head.relation not in intensional:
-            continue
-        ext_atoms = tuple(a for a in r.body if a.relation not in intensional)
-        int_atoms = tuple(a for a in r.body if a.relation in intensional)
+        ext_atoms = tuple(a for a in r.body if a.relation not in p.intensional)
+        int_atoms = tuple(a for a in r.body if a.relation in p.intensional)
         feasible = True
         for a in int_atoms:
             for t in a.args:
@@ -759,42 +722,83 @@ def eval_gfp(p: GFPProgram, ext: Instance) -> Tuple[bool, Instance]:
         if not feasible:
             continue
         head_vars = [t for t in r.head.args if isinstance(t, Var)]
-        for h in find_homomorphisms(ext_atoms, ext_fact_list):
+        for h in find_homomorphisms(ext_atoms, ext):
             free = [x for x in dict.fromkeys(head_vars) if x not in h]
             for combo in itertools.product(domain, repeat=len(free)):
                 m = dict(h)
                 m.update(zip(free, combo))
-                args = apply_hom((r.head,), m)[0].args
-                if all(v in domain_set for v in args):
-                    current[r.head.relation].add(args)
+                head = apply_hom((r.head,), m)[0]
+                if all(v in domain_set for v in head.args):
+                    out.add(head)
+    return out
 
-    rules_by_head: Dict[str, List[DatalogRule]] = {}
-    for r in p.rules:
-        rules_by_head.setdefault(r.head.relation, []).append(r)
 
-    def db_facts() -> List[Fact]:
-        return [
-            Fact(name, args) for name, tuples in current.items() for args in tuples
-        ]
+Support = Tuple[Fact, ...]
 
-    while True:
-        facts = db_facts()
-        new: Dict[str, Set[Tuple[Value, ...]]] = {}
-        for name in p.intensional:
-            derived: Set[Tuple[Value, ...]] = set()
-            for r in rules_by_head.get(name, ()):
-                for h in find_homomorphisms(r.body, facts):
-                    derived.add(apply_hom((r.head,), h)[0].args)
-            new[name] = derived & current[name]
-        if all(new[name] == current[name] for name in p.intensional):
-            break
-        for name in p.intensional:
-            current[name] = new[name]
 
+def _prune_unsupported(
+    alive: Set[Fact], obligations: Iterable[Tuple[Fact, Sequence[Support]]]
+) -> Set[Fact]:
+    """Shrink `alive` to its largest subset in which every obligation of a
+    member keeps a live support, and return it.
+
+    Each obligation pairs a fact with its supports; a support is a tuple of
+    facts, live while all of them are.  Facts outside `alive` never die.
+    Support counting (AC-4, Mohr & Henderson 1986): a fact is deleted when
+    some obligation's live count reaches zero, and deleting it decrements
+    only the obligations whose supports use it.  The result does not depend
+    on the order of deletions.
+    """
+    owner: List[Fact] = []  # obligation -> the fact that owes it
+    live: List[int] = []  # obligation -> number of live supports
+    support_of: List[int] = []  # support -> its obligation
+    users: Dict[Fact, List[int]] = {}  # fact -> supports that use it
+    worklist: List[Fact] = []
+    for fact, supports in obligations:
+        ob = len(owner)
+        owner.append(fact)
+        live.append(len(supports))
+        for support in supports:
+            for g in set(support):
+                if g in alive:
+                    users.setdefault(g, []).append(len(support_of))
+            support_of.append(ob)
+        if not supports:
+            worklist.append(fact)
+    dead = [False] * len(support_of)
+    while worklist:
+        fact = worklist.pop()
+        if fact not in alive:
+            continue
+        alive.discard(fact)
+        for sid in users.get(fact, ()):
+            if dead[sid]:
+                continue
+            dead[sid] = True
+            ob = support_of[sid]
+            live[ob] -= 1
+            if live[ob] == 0:
+                worklist.append(owner[ob])
+    return alive
+
+
+def eval_gfp(p: GFPProgram, ext: Instance) -> Tuple[bool, Instance]:
+    """The greatest fixpoint of the immediate consequence operator below the
+    maximal intensional database: an intensional fact survives while some
+    rule instance deriving it has a live body."""
+    candidates = _maximal_database(p, ext)
     decls = [RelationDecl(n, a, visible=(n in p.extensional)) for n, a in p.arities]
-    fixpoint = Instance(Schema(tuple(decls)), frozenset(db_facts()))
-    goal_true = bool(current[p.goal])
-    return goal_true, fixpoint
+    schema = Schema(tuple(decls))
+    top = Instance(schema, ext.facts | candidates)
+    derivations: Dict[Fact, List[Support]] = {f: [] for f in candidates}
+    for r in p.rules:
+        for h in find_homomorphisms(r.body, top):
+            supports = derivations.get(apply_hom((r.head,), h)[0])
+            if supports is not None:
+                supports.append(apply_hom(r.body, h))
+    alive = _prune_unsupported(candidates, derivations.items())
+    goal_true = any(f.relation == p.goal for f in alive)
+    return goal_true, Instance(schema, ext.facts | alive)
 
 
 # ---------------------------------------------------------------------------
@@ -809,60 +813,38 @@ def _largest_model(
     forced_empty: Sequence[Atom] = (),
     extra_constants: Sequence[str] = (),
 ) -> Optional[Instance]:
-    """Run the GFP program, then shrink the fixpoint to the largest
-    sub-instance with visible part `v` that satisfies every constraint.
-    Returns None when no such instance satisfies the query."""
+    """The largest sub-instance of the program's maximal database with
+    visible part `v` that satisfies every constraint, or None when there is
+    none or it falsifies the query.
+
+    Each trigger of a TGD on a fact is one obligation of that fact, and the
+    head matches of every disjunct are its supports.  A visible fact cannot
+    be deleted: losing one means no instance extends `v`.
+    """
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
     # recheck after normalisation inside the builder
     c, s = normalize_single_head(c, s)
-    _, fixpoint = eval_gfp(program, v)
     hidden_names = {r.name for r in s.hidden_relations}
-    hidden = {f for f in fixpoint.facts if f.relation in hidden_names}
-
-    def current() -> Instance:
-        return Instance(s, frozenset(hidden) | v.facts)
-
-    changed = True
-    while changed:
-        changed = False
-        inst = current()
-        for atom in forced_empty:
-            for h in find_homomorphisms((atom,), inst):
-                bad = apply_hom((atom,), h)[0]
-                if bad in hidden:
-                    hidden.discard(bad)
-                    changed = True
-        if changed:
-            continue
-        for tgd in c.tgds:
-            body = tgd.body[0]
-            for h in find_homomorphisms((body,), inst):
-                fact = apply_hom((body,), h)[0]
-                satisfied = False
-                for disjunct in tgd.heads:
-                    seed = {
-                        var: val
-                        for var, val in h.items()
-                        if var not in disjunct.exist_vars
-                    }
-                    if any(
-                        True
-                        for _ in find_homomorphisms(disjunct.atoms, inst, seed=seed)
-                    ):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if fact in hidden:
-                    hidden.discard(fact)
-                    changed = True
-                else:
-                    # a visible fact demands a head no instance can supply
-                    return None
-            if changed:
-                break
-
-    inst = current()
+    hidden = {f for f in _maximal_database(program, v) if f.relation in hidden_names}
+    top = Instance(s, frozenset(hidden) | v.facts)
+    # a fact of a forced-empty copy owes an obligation nothing supports
+    obligations: List[Tuple[Fact, List[Support]]] = [
+        (apply_hom((atom,), h)[0], [])
+        for atom in forced_empty
+        for h in find_homomorphisms((atom,), top)
+    ]
+    for tgd in c.tgds:
+        for h in find_homomorphisms(tgd.body, top):
+            supports: List[Support] = []
+            for disjunct in tgd.heads:
+                seed = {x: val for x, val in h.items() if x not in disjunct.exist_vars}
+                for g in find_homomorphisms(disjunct.atoms, top, seed=seed):
+                    supports.append(apply_hom(disjunct.atoms, g))
+            obligations.append((apply_hom(tgd.body, h)[0], supports))
+    alive = _prune_unsupported(set(top.facts), obligations)
+    if not v.facts <= alive:
+        return None
+    inst = Instance(s, frozenset(alive))
     if not (eval_ucq(q, inst) and satisfies(c, inst)):
         return None
     return inst
@@ -877,7 +859,7 @@ def nqi_gfp_detail(
     if q.free_vars:
         raise ClassError("NQI expects a Boolean query")
     # one spare value keeps the collapse argument sound on an empty domain
-    extra: Tuple[str, ...] = tuple(_constant_pool(c, q))
+    extra: Tuple[str, ...] = constant_names(c, q)
     if not extra and not active_domain(v):
         extra = ("!d0",)
     # multi-atom heads normalise away, so judge the fragment afterwards:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .core import (
-    CName,
     ConstraintSet,
     Const,
     Fact,
@@ -22,6 +21,7 @@ from .core import (
     Schema,
     UCQ,
     active_domain,
+    constant_names,
     eval_ucq,
     satisfies,
     value_key,
@@ -56,28 +56,6 @@ class OracleAnswer:
 
 def fresh_constants(k: int) -> Tuple[Const, ...]:
     return tuple(Const(f"!w{i}") for i in range(k))
-
-
-def named_constants(c: Optional[ConstraintSet] = None, q: Optional[UCQ] = None) -> Tuple[Const, ...]:
-    """Constants mentioned by name in the constraints or the query: a hidden
-    witness may have to use them even when the visible part does not."""
-    names = set()
-    if c is not None:
-        for dep in c.dependencies:
-            for atom in _constraint_atoms(dep):
-                names.update(t.name for t in atom.args if isinstance(t, CName))
-    if q is not None:
-        for disjunct in q.disjuncts:
-            for atom in disjunct.atoms:
-                names.update(t.name for t in atom.args if isinstance(t, CName))
-    return tuple(Const(n) for n in sorted(names))
-
-
-def _constraint_atoms(dep):
-    yield from dep.body
-    if hasattr(dep, "heads"):
-        for h in dep.heads:
-            yield from h.atoms
 
 
 def enumerate_extensions(v: Instance, s: Schema, d: DomainBound,
@@ -119,7 +97,7 @@ def _models(q_guard: ConstraintSet, v: Instance, s: Schema, d: DomainBound,
 
 def oracle_pqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, d: DomainBound) -> OracleAnswer:
     """Does every bounded completion of v satisfying c satisfy q?"""
-    for f in _models(c, v, s, d, named_constants(c, q)):
+    for f in _models(c, v, s, d, tuple(map(Const, constant_names(c, q)))):
         if eval_ucq(q, f) is not True:
             return OracleAnswer(False, EXACT, witness=f)
     return OracleAnswer(True, BOUNDED)
@@ -129,7 +107,7 @@ def oracle_nqi(
     q: UCQ, c: ConstraintSet, s: Schema, v: Instance, d: DomainBound, exact_for_class: bool = False
 ) -> OracleAnswer:
     """Does every bounded completion of v satisfying c falsify q?"""
-    for f in _models(c, v, s, d, named_constants(c, q)):
+    for f in _models(c, v, s, d, tuple(map(Const, constant_names(c, q)))):
         if eval_ucq(q, f) is True:
             return OracleAnswer(False, EXACT, witness=f)
     return OracleAnswer(True, EXACT if exact_for_class else BOUNDED)
@@ -137,7 +115,7 @@ def oracle_nqi(
 
 def oracle_realizable(c: ConstraintSet, s: Schema, v: Instance, d: DomainBound) -> OracleAnswer:
     """Does some bounded completion of v satisfy c?"""
-    for f in _models(c, v, s, d, named_constants(c)):
+    for f in _models(c, v, s, d, tuple(map(Const, constant_names(c)))):
         return OracleAnswer(True, EXACT, witness=f)
     return OracleAnswer(False, BOUNDED)
 
@@ -165,7 +143,7 @@ def enumerate_supersets(i: Instance, s: Schema, d: DomainBound,
 
 def oracle_owq(q: UCQ, c: ConstraintSet, i: Instance, d: DomainBound) -> OracleAnswer:
     """Does q hold in every bounded superset of i satisfying c?"""
-    for f in enumerate_supersets(i, i.schema, d, named_constants(c, q)):
+    for f in enumerate_supersets(i, i.schema, d, tuple(map(Const, constant_names(c, q)))):
         if satisfies(c, f) and eval_ucq(q, f) is not True:
             return OracleAnswer(False, EXACT, witness=f)
     return OracleAnswer(True, BOUNDED)

@@ -37,6 +37,8 @@ from .core import (
     classify,
     canonical_db,
     canonical_query,
+    constant_names,
+    ground_nulls,
     value_key,
     CONNECTED_TAG,
     CONST_TAG,
@@ -118,22 +120,6 @@ def _adom_names(values) -> Set[str]:
     return {v.name for v in values if isinstance(v, Const)}
 
 
-def _constraint_constants(c: ConstraintSet) -> Set[str]:
-    names: Set[str] = set()
-    for dep in c.dependencies:
-        if isinstance(dep, TGD):
-            atoms = list(dep.body) + [a for h in dep.heads for a in h.atoms]
-        else:
-            atoms = list(dep.body)
-            names.update(t.name for t in (dep.left, dep.right) if isinstance(t, CName))
-        names.update(t.name for a in atoms for t in a.args if isinstance(t, CName))
-    return names
-
-
-def _query_constants(q: UCQ) -> Set[str]:
-    return {t.name for d in q.disjuncts for a in d.atoms for t in a.args if isinstance(t, CName)}
-
-
 def _fresh_var(base: str, taken: Set[Var]) -> Var:
     v = Var(base)
     while v in taken:
@@ -157,12 +143,6 @@ def _dep_vars(dep: Dependency) -> Set[Var]:
 
 def _extend_atom(a: Atom, extra) -> Atom:
     return Atom(a.relation, a.args + (extra,))
-
-
-def _ground_nulls(i: Instance) -> Instance:
-    from .deciders import ground_nulls
-
-    return ground_nulls(i)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +275,7 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     )
     s2 = Schema(relations)
 
-    taken_vals = _constraint_constants(c) | _query_constants(q)
+    taken_vals = set(constant_names(c, q))
     zero_name_v, one_name_v = _fresh_value_names(2, taken_vals, "")
     zero, one = CName(zero_name_v), CName(one_name_v)
 
@@ -365,7 +345,7 @@ def constant_encoding_lift(p: ProblemInstance, v: Instance) -> Instance:
     for m in widths:
         _fresh_relation(f"check{m}", taken_rel)
     init_name = _fresh_relation("init", taken_rel)
-    taken_vals = _constraint_constants(c) | _query_constants(q)
+    taken_vals = set(constant_names(c, q))
     zero_name_v, one_name_v = _fresh_value_names(2, taken_vals, "")
     zero, one = Const(zero_name_v), Const(one_name_v)
 
@@ -472,7 +452,7 @@ def owq_to_pqi(q: UCQ, c: ConstraintSet, f: Instance) -> ProblemInstance:
     for r in s.relations:
         xs = tuple(Var(f"x{i}") for i in range(r.arity))
         deps.append(TGD((Atom(copies[r.name], xs),), (HeadDisjunct((), (Atom(r.name, xs),)),)))
-    f2 = _ground_nulls(f)
+    f2 = ground_nulls(f)
     v2 = Instance(s2, frozenset(Fact(copies[x.relation], x.args) for x in f2.facts))
     return ProblemInstance(PQI, ConstraintSet(tuple(deps)), s2, query=q, instance=v2)
 
@@ -493,7 +473,7 @@ def owq_to_exists_pqi(q: UCQ, c: ConstraintSet, f: Instance) -> ProblemInstance:
     good_name = _fresh_relation("good", taken_rel)
     s2 = Schema(tuple(RelationDecl(r.name, r.arity, False) for r in s.relations)
                 + (RelationDecl(good_name, 0, True),))
-    f2 = _ground_nulls(f)
+    f2 = ground_nulls(f)
     image = canonical_query(f2)
     deps: List[Dependency] = list(c.dependencies)
     deps.append(TGD((Atom(good_name, ()),), (HeadDisjunct(image.exist_vars, image.atoms),)))
@@ -646,5 +626,5 @@ def exists_nqi_to_owq(q: UCQ, c: ConstraintSet, s: Schema) -> ProblemInstance:
         xs = tuple(Var(f"x{i}") for i in range(r.arity))
         disjuncts.append(CQ((), xs, (Atom(r.name, xs),)))
     q2 = UCQ(tuple(disjuncts))
-    base = _ground_nulls(canonical_db(q.disjuncts[0], s))
+    base = ground_nulls(canonical_db(q.disjuncts[0], s))
     return ProblemInstance(OWQ, c, s, query=q2, instance=base)

@@ -50,7 +50,6 @@ from .core import (
 
 HEADER = "dqi-1"
 
-_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _LOWER_NAME = re.compile(r"[a-z][A-Za-z0-9_]*$")
 
 
@@ -566,114 +565,3 @@ def emit_gnfo(kind: str, q: UCQ, c: ConstraintSet, s: Schema, v: Instance) -> st
     parts.extend(_fo_dependency(d) for d in c.dependencies)
     parts.extend(_closed_world(s, v))
     return " &\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# a small reader for the emitted formulas (used to sanity-check emission)
-
-_FORMULA_TOKEN = re.compile(
-    r"\s+|(?P<str>\"(?:[^\"\\]|\\.)*\")|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>->|[!&|().,=])"
-)
-
-
-def formula_well_formed(text: str) -> bool:
-    """Check that an emitted formula parses under the documented syntax."""
-    toks: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN.match(text, pos)
-        if not m:
-            return False
-        if m.group().strip():
-            toks.append(m.group())
-        pos = m.end()
-
-    idx = 0
-
-    def peek() -> Optional[str]:
-        return toks[idx] if idx < len(toks) else None
-
-    def take() -> str:
-        nonlocal idx
-        t = peek()
-        if t is None:
-            raise ValueError("eof")
-        idx += 1
-        return t
-
-    def parse_formula() -> None:
-        parse_impl()
-
-    def parse_impl() -> None:
-        parse_or()
-        while peek() == "->":
-            take()
-            parse_or()
-
-    def parse_or() -> None:
-        parse_and()
-        while peek() == "|":
-            take()
-            parse_and()
-
-    def parse_and() -> None:
-        parse_unit()
-        while peek() == "&":
-            take()
-            parse_unit()
-
-    def parse_unit() -> None:
-        t = peek()
-        if t == "!":
-            take()
-            parse_unit()
-            return
-        if t == "(":
-            take()
-            parse_impl()
-            if take() != ")":
-                raise ValueError("expected )")
-            return
-        if t in ("exists", "forall"):
-            take()
-            while True:
-                name = take()
-                if not _PLAIN_NAME.match(name):
-                    raise ValueError("bad variable")
-                if peek() == ",":
-                    take()
-                    continue
-                break
-            if take() != ".":
-                raise ValueError("expected .")
-            parse_impl()
-            return
-        if t in ("true", "false"):
-            take()
-            return
-        # atom or equality
-        head = take()
-        if peek() == "(":
-            take()
-            while peek() != ")":
-                nxt = take()
-                if not (_PLAIN_NAME.match(nxt) or nxt.startswith('"')):
-                    raise ValueError("bad argument")
-                if peek() == ",":
-                    take()
-            take()
-            return
-        if peek() == "=":
-            take()
-            rhs = take()
-            if not (_PLAIN_NAME.match(rhs) or rhs.startswith('"')):
-                raise ValueError("bad equality")
-            return
-        raise ValueError(f"cannot parse near {head}")
-
-    try:
-        parse_formula()
-        return idx == len(toks)
-    except (ValueError, IndexError):
-        return False

@@ -21,6 +21,9 @@ from dqi.core import (
     satisfies,
 )
 from dqi.gfp import (
+    DatalogRule,
+    GFPProgram,
+    _largest_model,
     build_gfp_program,
     eval_gfp,
     nqi_gfp_detail,
@@ -162,3 +165,65 @@ def test_transform_rejects_out_of_class_constraints():
     q = boolean_ucq([Atom("H", (Var("x"), Var("y")))])
     with pytest.raises(ClassError):
         nqi_gfp_detail(q, c, s, Instance(s, frozenset()))
+
+
+def test_eval_gfp_deletion_cascades_down_a_chain():
+    # P1 <- P2 <- ... <- P7 <- E with E = {a}: P7(b) is never a candidate,
+    # so deleting P6(b) has to cascade through P5(b), ..., P1(b)
+    names = [f"P{i}" for i in range(1, 8)]
+    x = Var("x")
+    rules = [
+        DatalogRule(Atom("A", (x,)), (Atom("D", (x,)),)),
+        DatalogRule(Atom(names[-1], (x,)), (Atom("A", (x,)), Atom("E", (x,)))),
+        DatalogRule(Atom("Goal", ()), (Atom(names[0], (x,)),)),
+    ] + [
+        DatalogRule(Atom(lo, (x,)), (Atom("A", (x,)), Atom(hi, (x,))))
+        for lo, hi in zip(names, names[1:])
+    ]
+    p = GFPProgram(
+        extensional=frozenset({"D", "E"}),
+        intensional=frozenset(names + ["A", "Goal"]),
+        arities=tuple(sorted([(n, 1) for n in names + ["A", "D", "E"]] + [("Goal", 0)])),
+        rules=tuple(rules),
+        constants=frozenset(),
+        goal="Goal",
+    )
+    a, b = Const("a"), Const("b")
+    ext = Instance(
+        Schema((RelationDecl("D", 1, True), RelationDecl("E", 1, True))),
+        frozenset({Fact("D", (a,)), Fact("D", (b,)), Fact("E", (a,))}),
+    )
+    goal, fixpoint = eval_gfp(p, ext)
+    assert goal is True
+    assert fixpoint.facts == ext.facts | {
+        Fact("A", (a,)), Fact("A", (b,)), Fact("Goal", ()),
+    } | {Fact(n, (a,)) for n in names}
+
+
+def test_largest_model_keeps_a_fact_until_its_last_disjunct_dies():
+    # H(x) -> S(x) | T(x), S(x) -> U(x) -> P(x), T(x) -> W(x) -> Q(x):
+    # H(b) loses S(b) (no P(b)) and lives on T(b) while Q(b) holds
+    s = Schema(tuple(RelationDecl(n, 1, True) for n in "DPQ")
+               + tuple(RelationDecl(n, 1, False) for n in "HSTUW"))
+    x = Var("x")
+
+    def tgd(body, *heads):
+        return TGD((Atom(body, (x,)),),
+                   tuple(HeadDisjunct((), (Atom(h, (x,)),)) for h in heads))
+
+    c = ConstraintSet((tgd("H", "S", "T"), tgd("S", "U"), tgd("U", "P"),
+                       tgd("T", "W"), tgd("W", "Q")))
+    q = boolean_ucq([Atom("H", (x,))])
+    a, b = Const("a"), Const("b")
+    base = {Fact("D", (a,)), Fact("D", (b,)), Fact("P", (a,))}
+    kept_by_a = {Fact(n, (a,)) for n in "HSU"}
+
+    one_left = _largest_model(q, c, s, Instance(s, frozenset(base | {Fact("Q", (b,))})))
+    assert one_left is not None
+    hidden = {f for f in one_left.facts if f.relation in "HSTUW"}
+    assert hidden == kept_by_a | {Fact(n, (b,)) for n in "HTW"}
+
+    none_left = _largest_model(q, c, s, Instance(s, frozenset(base)))
+    assert none_left is not None
+    assert {f for f in none_left.facts if f.relation in "HSTUW"} == kept_by_a
+

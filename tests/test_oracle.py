@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from dqi.core import (
     Atom,
+    CName,
     Const,
     ConstraintSet,
+    EGD,
     Fact,
     HeadDisjunct,
     Instance,
@@ -137,3 +139,19 @@ def test_oracle_pqi_and_nqi_cannot_both_fail_without_witnesses(seed):
         # a completion exists, and it either satisfies q or it does not,
         # so at least one implication has a counterexample
         assert p.answer is False or n.answer is False
+
+
+def test_oracle_realizable_uses_constants_named_only_by_an_egd():
+    # V(x) -> exists y. H(y) and H(x) -> x = "c": the only completion puts
+    # "c" into H, and "c" occurs in no atom, only on the equality's side
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
+    x, y = Var("x"), Var("y")
+    c = ConstraintSet((
+        TGD((Atom("V", (x,)),), (HeadDisjunct((y,), (Atom("H", (y,)),)),)),
+        EGD((Atom("H", (x,)),), x, CName("c")),
+    ))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    r = oracle_realizable(c, s, v, DomainBound(2, 4, 1e5))
+    assert r.answer is True and r.exactness == EXACT
+    assert r.witness.facts_of("H") == (Fact("H", (Const("c"),)),)
+
