@@ -1,18 +1,26 @@
 """Chase procedures over partially visible schemas.
 
-Three variants live here:
+Every chase applies a trigger (a dependency with a body match) through
+one step function, `_fire`: an active TGD trigger gives one outcome per
+head disjunct, with fresh nulls for its existential variables, and an
+EGD trigger identifies two values or clashes two constants.  Around it:
 
 - `classical_chase`: the standard restricted chase with a fair FIFO
   trigger queue, used for open-world query answering.
+- `chase_vis_critical`: the single branch the visible chase takes when
+  started from the critical instance (every visible relation holding one
+  all-`a` tuple); there are no grounding choices because the visible
+  active domain is the singleton `{a}`, so every null of a new visible
+  fact becomes `a`.
 - `visible_chase`: builds a tree of instances; whenever a step creates a
   visible fact, the affected values are grounded into the active domain
   of the fixed visible instance, branching over every grounding
   homomorphism and appending a dummy node when none exists.  EGD steps
-  identify values and fail (dummy) on a constant/constant conflict.
-- `chase_vis_critical`: the single branch the visible chase takes when
-  started from the critical instance (every visible relation holding one
-  all-`a` tuple); there are no grounding choices because the visible
-  active domain is the singleton `{a}`.
+  identify values and fail (dummy) on a constant/constant conflict or
+  when they change the visible part.
+
+The classical and critical chases run the same single-branch loop,
+`_chase_branch`; the visible chase builds its tree in its own loop.
 
 Plus the fact-type saturation for linear constraint sets, which makes
 query implication over the critical instance decidable without
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -35,7 +43,6 @@ from .core import (
     Dependency,
     EGD,
     Fact,
-    HeadDisjunct,
     Homomorphism,
     Instance,
     Null,
@@ -45,11 +52,14 @@ from .core import (
     UCQ,
     Value,
     Var,
+    CONST_TAG,
+    DISJ_TAG,
+    _head_satisfied,
+    _term_value,
     active_domain,
     apply_hom,
+    classify,
     critical_instance,
-    eval_ucq,
-    fact_key,
     find_homomorphisms,
     map_instance,
     satisfies,
@@ -80,7 +90,55 @@ class ChaseResult:
 
 
 # ---------------------------------------------------------------------------
-# trigger bookkeeping
+# the chase step
+
+
+# (step label, new instance, new facts, value map).  A TGD disjunct adds
+# facts and maps no value; an EGD adds no fact and maps the merged value.
+# The instance is None when an EGD clashes two constants.
+Outcome = Tuple[str, Optional[Instance], Tuple[Fact, ...], Mapping[Value, Value]]
+
+
+def _fire(idx: int, dep: Dependency, hom: Homomorphism, instance: Instance,
+          nulls: NullSource) -> Optional[List[Outcome]]:
+    """Apply the trigger (dependency number `idx`, body match `hom`).
+
+    Returns None when the trigger is not active; otherwise one outcome per
+    TGD head disjunct, or the single EGD merge.
+    """
+    if isinstance(dep, TGD):
+        if any(_head_satisfied(disjunct, hom, instance) for disjunct in dep.heads):
+            return None
+        out: List[Outcome] = []
+        for d_idx, disjunct in enumerate(dep.heads):
+            ext = dict(hom)
+            for v in disjunct.exist_vars:
+                ext[v] = nulls.fresh()
+            new_facts = apply_hom(disjunct.atoms, ext)
+            out.append((f"tgd#{idx}/{d_idx}", instance.with_facts(new_facts), new_facts, {}))
+        return out
+    u, v = _term_value(dep.left, hom), _term_value(dep.right, hom)
+    if u == v:
+        return None
+    step = f"egd#{idx} {_vname(u)}={_vname(v)}"
+    if isinstance(u, Const) and isinstance(v, Const):
+        return [(step, None, (), {})]
+    m = _merge_map(u, v)
+    return [(step, map_instance(instance, m), (), m)]
+
+
+def _merge_map(u: Value, v: Value) -> Mapping[Value, Value]:
+    """Substitution identifying u and v; nulls collapse into the other value."""
+    if isinstance(u, Null) and isinstance(v, Null):
+        keep, drop = (u, v) if u.id < v.id else (v, u)
+        return {drop: keep}
+    if isinstance(u, Null):
+        return {u: v}
+    return {v: u}
+
+
+def _vname(v: Value) -> str:
+    return v.name if isinstance(v, Const) else f"?{v.id}"
 
 
 def _hom_key(dep_idx: int, hom: Mapping[Var, Value]) -> Tuple:
@@ -103,9 +161,16 @@ class _Triggers:
                     self.seen.add(key)
                     self.pending.append((idx, hom))
 
-    def pop(self) -> Optional[Tuple[int, Homomorphism]]:
-        if self.pending:
-            return self.pending.popleft()
+    def fire_next(self, deps: Sequence[Dependency], instance: Instance,
+                  nulls: NullSource) -> Optional[List[Outcome]]:
+        """Pop triggers until one is active and fire it; None once the
+        queue runs dry.  An inactive trigger leaves the instance as it was,
+        so there is nothing new to discover in between."""
+        while self.pending:
+            idx, hom = self.pending.popleft()
+            outcomes = _fire(idx, deps[idx], hom, instance, nulls)
+            if outcomes is not None:
+                return outcomes
         return None
 
     def copy(self) -> "_Triggers":
@@ -129,35 +194,50 @@ class _Triggers:
         return _Triggers(pending, seen)
 
 
-def _tgd_active(dep: TGD, hom: Homomorphism, instance: Instance) -> bool:
-    for disjunct in dep.heads:
-        seed = {v: val for v, val in hom.items() if v not in disjunct.exist_vars}
-        for _ in find_homomorphisms(disjunct.atoms, instance, seed=seed):
-            return False
-    return True
-
-
-def _egd_values(dep: EGD, hom: Homomorphism) -> Tuple[Value, Value]:
-    def term_value(t):
-        if isinstance(t, CName):
-            return Const(t.name)
-        return hom[t]
-
-    return term_value(dep.left), term_value(dep.right)
-
-
-def _merge_map(u: Value, v: Value) -> Mapping[Value, Value]:
-    """Substitution identifying u and v; nulls collapse into the other value."""
-    if isinstance(u, Null) and isinstance(v, Null):
-        keep, drop = (u, v) if u.id < v.id else (v, u)
-        return {drop: keep}
-    if isinstance(u, Null):
-        return {u: v}
-    return {v: u}
-
-
 # ---------------------------------------------------------------------------
-# classical chase
+# single-branch chases: classical and critical-instance
+
+
+def _chase_branch(
+    start: Instance,
+    c: ConstraintSet,
+    b: ChaseBudget,
+    ground: Optional[Callable[[Sequence[Fact]], Mapping[Value, Value]]] = None,
+    tripwire: Optional[Callable[[Instance], bool]] = None,
+) -> ChaseResult:
+    """Chase one branch from `start` with fair FIFO scheduling.
+
+    `ground` maps values of a step's new facts (a forced grounding: the
+    branch never chooses).  The branch may take `b.max_depth` steps; one
+    more, or more than `b.max_facts` facts, ends it with BUDGET and the
+    instance that step produced.  `tripwire` stops the chase as soon as a
+    monotone condition holds.
+    """
+    deps = c.dependencies
+    nulls = NullSource.above(start)
+    current = start
+    triggers = _Triggers()
+    steps = 0
+    while True:
+        if tripwire is not None and tripwire(current):
+            return ChaseResult(SATURATED if satisfies(c, current) else BUDGET, current)
+        triggers.discover(deps, current)
+        outcomes = triggers.fire_next(deps, current, nulls)
+        if outcomes is None:
+            return ChaseResult(SATURATED, current)
+        [(_, image, new_facts, value_map)] = outcomes
+        if image is None:
+            return ChaseResult(EGD_FAILURE, current)
+        current = image
+        grounding = ground(new_facts) if ground is not None else {}
+        if grounding:  # only a TGD step has new facts, and it maps no value
+            current = map_instance(current, grounding)
+            value_map = grounding
+        if value_map:
+            triggers = triggers.remap(value_map)
+        steps += 1
+        if steps > b.max_depth or len(current.facts) > b.max_facts:
+            return ChaseResult(BUDGET, current)
 
 
 def classical_chase(i: Instance, c: ConstraintSet, b: ChaseBudget,
@@ -171,40 +251,27 @@ def classical_chase(i: Instance, c: ConstraintSet, b: ChaseBudget,
     for t in c.tgds:
         if len(t.heads) > 1:
             raise ClassError("classical chase requires non-disjunctive TGDs")
-    deps = list(c.dependencies)
-    nulls = NullSource.above(i)
-    current = i
-    triggers = _Triggers()
-    steps = 0
-    while True:
-        if tripwire and tripwire(current):
-            return ChaseResult(SATURATED if satisfies(c, current) else BUDGET, current)
-        triggers.discover(deps, current)
-        item = triggers.pop()
-        if item is None:
-            return ChaseResult(SATURATED, current)
-        idx, hom = item
-        dep = deps[idx]
-        if isinstance(dep, TGD):
-            if not _tgd_active(dep, hom, current):
-                continue
-            disjunct = dep.heads[0]
-            ext = dict(hom)
-            for v in disjunct.exist_vars:
-                ext[v] = nulls.fresh()
-            current = current.with_facts(apply_hom(disjunct.atoms, ext))
-        else:
-            u, v = _egd_values(dep, hom)
-            if u == v:
-                continue
-            if isinstance(u, Const) and isinstance(v, Const):
-                return ChaseResult(EGD_FAILURE, current)
-            m = _merge_map(u, v)
-            current = map_instance(current, m)
-            triggers = triggers.remap(m)
-        steps += 1
-        if steps > b.max_depth or len(current.facts) > b.max_facts:
-            return ChaseResult(BUDGET, current)
+    return _chase_branch(i, c, b, tripwire=tripwire)
+
+
+def chase_vis_critical(c: ConstraintSet, s: Schema, a: Const, b: ChaseBudget) -> ChaseResult:
+    """The unique visible-chase branch from the critical instance V_a.
+
+    Requires constant-free, non-disjunctive constraints: then every
+    grounding choice is forced (the visible active domain is `{a}`) and
+    no EGD can clash two distinct constants.
+    """
+    tags = classify(c, s)
+    if CONST_TAG in tags:
+        raise ClassError("critical-instance chase requires constant-free constraints")
+    if DISJ_TAG in tags:
+        raise ClassError("critical-instance chase requires non-disjunctive heads")
+
+    def ground(new_facts: Sequence[Fact]) -> Dict[Value, Value]:
+        return {val: a for f in new_facts if s.decl(f.relation).visible
+                for val in f.args if isinstance(val, Null)}
+
+    return _chase_branch(critical_instance(s, a), c, b, ground=ground)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +351,6 @@ def _grounding_children(
     return out
 
 
-def _vname(v: Value) -> str:
-    return v.name if isinstance(v, Const) else f"?{v.id}"
-
-
 def visible_chase(
     c: ConstraintSet,
     s: Schema,
@@ -330,118 +393,27 @@ def visible_chase(
             node.status = BUDGET_CUT
             continue
         triggers = node._triggers or _Triggers()
-        triggers.discover(deps, node.instance)
-        fired = False
-        while not fired:
-            item = triggers.pop()
-            if item is None:
-                node.status = LEAF
-                break
-            idx, hom = item
-            dep = deps[idx]
-            if isinstance(dep, TGD):
-                if not _tgd_active(dep, hom, node.instance):
-                    continue
-                fired = True
-                for d_idx, disjunct in enumerate(dep.heads):
-                    ext = dict(hom)
-                    fresh: List[Null] = []
-                    for v in disjunct.exist_vars:
-                        n = nulls.fresh()
-                        ext[v] = n
-                        fresh.append(n)
-                    new_facts = apply_hom(disjunct.atoms, ext)
-                    k_prime = node.instance.with_facts(new_facts)
-                    step = f"tgd#{idx}/{d_idx}"
-                    grounded = _grounding_children(k_prime, new_facts, visible_part, s)
-                    if not grounded:
-                        new_node(k_prime, DUMMY, node, step + " no-grounding", None)
-                        continue
-                    for image, desc, gmap in grounded:
-                        child_triggers = triggers.copy().remap(gmap) if gmap else triggers.copy()
-                        child = new_node(image, OPEN, node, step + (f" [{desc}]" if desc else ""),
-                                         child_triggers)
-                        frontier.append(child.id)
-            else:
-                u, v = _egd_values(dep, hom)
-                if u == v:
-                    continue
-                fired = True
-                step = f"egd#{idx} {_vname(u)}={_vname(v)}"
-                if isinstance(u, Const) and isinstance(v, Const):
-                    new_node(node.instance, DUMMY, node, step + " const-conflict", None)
-                    continue
-                m = _merge_map(u, v)
-                image = map_instance(node.instance, m)
-                if image.visible().facts != visible_part.facts:
-                    new_node(image, DUMMY, node, step + " visible-changed", None)
-                    continue
-                child = new_node(image, OPEN, node, step, triggers.copy().remap(m))
-                frontier.append(child.id)
-        if fired:
-            node.status = EXPANDED
         node._triggers = None
+        triggers.discover(deps, node.instance)
+        outcomes = triggers.fire_next(deps, node.instance, nulls)
+        node.status = LEAF if outcomes is None else EXPANDED
+        for step, image, new_facts, merge in outcomes or ():
+            if image is None:
+                new_node(node.instance, DUMMY, node, step + " const-conflict", None)
+                continue
+            if merge:  # an EGD step grounds nothing but must keep the visible part
+                children = [(image, "", merge)] if image.visible().facts == visible_part.facts else []
+                failure = " visible-changed"
+            else:
+                children = _grounding_children(image, new_facts, visible_part, s)
+                failure = " no-grounding"
+            if not children:
+                new_node(image, DUMMY, node, step + failure, None)
+            for child_instance, desc, g in children:
+                child = new_node(child_instance, OPEN, node, step + (f" [{desc}]" if desc else ""),
+                                 triggers.remap(g) if g else triggers.copy())
+                frontier.append(child.id)
     return ChaseTree(0, nodes)
-
-
-# ---------------------------------------------------------------------------
-# critical-instance chase
-
-
-def chase_vis_critical(c: ConstraintSet, s: Schema, a: Const, b: ChaseBudget) -> ChaseResult:
-    """The unique visible-chase branch from the critical instance V_a.
-
-    Requires constant-free, non-disjunctive constraints: then every
-    grounding choice is forced (the visible active domain is `{a}`) and
-    no EGD can clash two distinct constants.
-    """
-    from .core import classify, CONST_TAG, DISJ_TAG
-
-    tags = classify(c, s)
-    if CONST_TAG in tags:
-        raise ClassError("critical-instance chase requires constant-free constraints")
-    if DISJ_TAG in tags:
-        raise ClassError("critical-instance chase requires non-disjunctive heads")
-    start = critical_instance(s, a)
-    nulls = NullSource.above(start)
-    current = start
-    triggers = _Triggers()
-    steps = 0
-    while True:
-        triggers.discover(c.dependencies, current)
-        item = triggers.pop()
-        if item is None:
-            return ChaseResult(SATURATED, current)
-        idx, hom = item
-        dep = c.dependencies[idx]
-        if isinstance(dep, TGD):
-            if not _tgd_active(dep, hom, current):
-                continue
-            disjunct = dep.heads[0]
-            ext = dict(hom)
-            for v in disjunct.exist_vars:
-                ext[v] = nulls.fresh()
-            new_facts = apply_hom(disjunct.atoms, ext)
-            grounding: Dict[Value, Value] = {}
-            for f in new_facts:
-                if s.decl(f.relation).visible:
-                    for val in f.args:
-                        if isinstance(val, Null):
-                            grounding[val] = a
-            current = current.with_facts(new_facts)
-            if grounding:
-                current = map_instance(current, grounding)
-                triggers = triggers.remap(grounding)
-        else:
-            u, v = _egd_values(dep, hom)
-            if u == v:
-                continue
-            m = _merge_map(u, v)
-            current = map_instance(current, m)
-            triggers = triggers.remap(m)
-        steps += 1
-        if steps > b.max_depth or len(current.facts) > b.max_facts:
-            return ChaseResult(BUDGET, current)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +674,63 @@ def _patterns(arity: int) -> Iterator[Tuple[int, ...]]:
         pat = canon_pattern(raw)
         if pat == raw:
             yield pat
+
+
+# ---------------------------------------------------------------------------
+# exact open-world answering of atomic queries (linear, constant-free)
+
+
+def decide_owq_atomic_linear(q: UCQ, c: ConstraintSet, i: Instance) -> Optional[bool]:
+    """Exact open-world answer via fact-type reachability.
+
+    Applies when every constraint is a constant-free linear single-head TGD
+    and every query disjunct is one constant-free atom.  Each derivation
+    chain of such a chase starts at a single initial fact, so the reachable
+    (relation, equality-pattern) pairs decide whether a query-matching fact
+    is certain.  Returns None when the preconditions fail.
+    """
+    try:
+        linear = _linear_tgds(c)
+    except ClassError:
+        return None
+    shapes = []
+    for d in q.disjuncts:
+        if len(d.atoms) != 1:
+            return None
+        atom = d.atoms[0]
+        if any(isinstance(t, CName) for t in atom.args):
+            return None
+        shapes.append(atom)
+    start = set()
+    for f in i.facts:
+        order: Dict[Value, int] = {}
+        for val in f.args:
+            order.setdefault(val, len(order) + 1)
+        start.add(FactType(f.relation, canon_pattern(tuple(order[val] for val in f.args))))
+    reached = set(start)
+    queue = list(start)
+    while queue:
+        t = queue.pop()
+        for idx, dep in linear:
+            res = _apply_linear(idx, dep, t)
+            if res is None:
+                continue
+            target, _ = res
+            if target not in reached:
+                reached.add(target)
+                queue.append(target)
+
+    def matches(atom: Atom, t: FactType) -> bool:
+        if atom.relation != t.relation:
+            return False
+        seen: Dict[Var, int] = {}
+        for term, entry in zip(atom.args, t.pattern):
+            if term in seen and seen[term] != entry:
+                return False
+            seen[term] = entry
+        return True
+
+    return any(matches(a, t) for a in shapes for t in reached)
 
 
 # ---------------------------------------------------------------------------

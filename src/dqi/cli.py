@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .chase import (
     BUDGET_CUT,
@@ -26,12 +25,10 @@ from .core import (
     ClassError,
     Const,
     Null,
-    ConstraintSet,
     Instance,
     Schema,
     SchemaError,
     UCQ,
-    eval_ucq,
 )
 from .deciders import (
     ChaseExhausted,
@@ -46,7 +43,7 @@ from .deciders import (
     decide_realizable,
 )
 from .gfp import build_gfp_program, eval_gfp, program_text
-from .oracle import DomainBound, SearchSpaceTooLarge, OracleAnswer, oracle_nqi, oracle_owq, oracle_pqi, oracle_realizable
+from .oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi, oracle_owq, oracle_pqi, oracle_realizable
 from .reductions import (
     EXISTS_NQI,
     EXISTS_PQI,

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
 
 
 class SchemaError(ValueError):
@@ -116,7 +117,7 @@ class Schema:
             raise SchemaError("duplicate relation name")
         object.__setattr__(self, "relations", tuple(sorted(self.relations, key=lambda r: r.name)))
 
-    @property
+    @cached_property
     def by_name(self) -> Dict[str, RelationDecl]:
         return {r.name: r for r in self.relations}
 
@@ -452,6 +453,15 @@ def map_instance(instance: Instance, value_map: Mapping[Value, Value]) -> Instan
     return Instance(instance.schema, frozenset(facts))
 
 
+def fresh_name(base: str, taken: Set[str]) -> str:
+    """Prefix `_` to `base` until the name is not in `taken`, then reserve it."""
+    name = base
+    while name in taken:
+        name = "_" + name
+    taken.add(name)
+    return name
+
+
 def ground_nulls(i: Instance) -> Instance:
     """Replace labelled nulls with fresh constants (an isomorphic renaming,
     so constraint satisfaction and query polarity are preserved)."""
@@ -459,11 +469,7 @@ def ground_nulls(i: Instance) -> Instance:
     mapping: Dict[Value, Value] = {}
     for val in sorted(active_domain(i), key=value_key):
         if isinstance(val, Null):
-            name = f"!n{val.id}"
-            while name in taken:
-                name = "_" + name
-            taken.add(name)
-            mapping[val] = Const(name)
+            mapping[val] = Const(fresh_name(f"!n{val.id}", taken))
     return map_instance(i, mapping) if mapping else i
 
 

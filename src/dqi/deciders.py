@@ -22,7 +22,6 @@ from .core import (
     ClassError,
     Const,
     ConstraintSet,
-    Fact,
     Instance,
     Schema,
     Value,
@@ -33,7 +32,6 @@ from .core import (
     eval_ucq,
     ground_nulls,
     normalize_single_head,
-    satisfies,
     value_key,
     CONNECTED_TAG,
     CONST_TAG,
@@ -43,7 +41,6 @@ from .core import (
     LINEAR_TAG,
 )
 from .chase import (
-    BUDGET,
     BUDGET_CUT,
     DUMMY,
     EGD_FAILURE,
@@ -52,12 +49,9 @@ from .chase import (
     SATURATED,
     ChaseBudget,
     ChaseTree,
-    FactType,
-    _apply_linear,
-    _linear_tgds,
-    canon_pattern,
     chase_vis_critical,
     classical_chase,
+    decide_owq_atomic_linear,
     decide_pqi_critical_linear,
     visible_chase,
 )
@@ -218,66 +212,13 @@ def decide_realizable(c: ConstraintSet, s: Schema, v: Instance, b: ChaseBudget) 
 # open-world query answering
 
 
-def _atomic_owq_exact(q: UCQ, c: ConstraintSet, i: Instance) -> Optional[bool]:
-    """Exact open-world answer via fact-type reachability.
-
-    Applies when every constraint is a constant-free linear single-head TGD
-    and every query disjunct is one constant-free atom.  Each derivation
-    chain of such a chase starts at a single initial fact, so the reachable
-    (relation, equality-pattern) pairs decide whether a query-matching fact
-    is certain.  Returns None when the preconditions fail.
-    """
-    try:
-        linear = _linear_tgds(c)
-    except ClassError:
-        return None
-    shapes = []
-    for d in q.disjuncts:
-        if len(d.atoms) != 1:
-            return None
-        atom = d.atoms[0]
-        if any(isinstance(t, CName) for t in atom.args):
-            return None
-        shapes.append(atom)
-    start = set()
-    for f in i.facts:
-        order: Dict[Value, int] = {}
-        for val in f.args:
-            order.setdefault(val, len(order) + 1)
-        start.add(FactType(f.relation, canon_pattern(tuple(order[val] for val in f.args))))
-    reached = set(start)
-    queue = list(start)
-    while queue:
-        t = queue.pop()
-        for idx, dep in linear:
-            res = _apply_linear(idx, dep, t)
-            if res is None:
-                continue
-            target, _ = res
-            if target not in reached:
-                reached.add(target)
-                queue.append(target)
-
-    def matches(atom: Atom, t: FactType) -> bool:
-        if atom.relation != t.relation:
-            return False
-        seen: Dict[Var, int] = {}
-        for term, entry in zip(atom.args, t.pattern):
-            if term in seen and seen[term] != entry:
-                return False
-            seen[term] = entry
-        return True
-
-    return any(matches(a, t) for a in shapes for t in reached)
-
-
 def decide_owq(q: UCQ, c: ConstraintSet, i: Instance, b: ChaseBudget) -> Verdict:
     """Does the query hold in every instance that contains `i` and satisfies
     the constraints (open-world certain answering)?"""
     _require_boolean(q)
     if eval_ucq(q, i) is True:
         return Verdict(True, certificate=ClassExact("query holds on the given facts"))
-    exact = _atomic_owq_exact(q, c, i)
+    exact = decide_owq_atomic_linear(q, c, i)
     if exact is not None:
         return Verdict(exact, certificate=ClassExact("fact-type reachability"))
     res = classical_chase(i, c, b, tripwire=lambda inst: eval_ucq(q, inst) is True)

@@ -38,7 +38,6 @@ from .core import (
     ConstraintSet,
     CQ,
     Dependency,
-    EGD,
     Fact,
     HeadDisjunct,
     Instance,
@@ -56,6 +55,7 @@ from .core import (
     constant_names,
     eval_ucq,
     find_homomorphisms,
+    fresh_name,
     normalize_single_head,
     satisfies,
     value_key,
@@ -218,14 +218,6 @@ def _require_plain_linear(
         raise ClassError("constraints must be linear TGDs (single body atom)")
 
 
-def _copy_name(base: str, idx: int, taken: Set[str]) -> str:
-    name = f"{base}_c{idx}"
-    while name in taken:
-        name = "_" + name
-    taken.add(name)
-    return name
-
-
 def _unify_dropped(
     terms: Sequence[Union[Var, CName]],
     pattern: Pattern,
@@ -298,7 +290,7 @@ def transform_adom(
         for r in range(rel.arity, -1, -1):
             for sel in itertools.combinations(positions, r):
                 for pat in canonical_patterns(rel.arity - len(sel), pool):
-                    name = _copy_name(rel.name, idx, taken)
+                    name = fresh_name(f"{rel.name}_c{idx}", taken)
                     idx += 1
                     per_rel.append(
                         CopyRelation(rel.name, rel.arity, sel, pat, name)
@@ -579,14 +571,6 @@ def program_text(p: GFPProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fresh_name(base: str, taken: Set[str]) -> str:
-    name = base
-    while name in taken:
-        name = "_" + name
-    taken.add(name)
-    return name
-
-
 def build_gfp_program(
     q: UCQ, c: ConstraintSet, s: Schema, extra_constants: Sequence[str] = ()
 ) -> GFPProgram:
@@ -602,8 +586,8 @@ def build_gfp_program(
         raise ClassError("GFP compilation expects a Boolean query")
     c, s = normalize_single_head(c, s)
     taken = set(s.by_name)
-    a_name = _fresh_name("A", taken)
-    goal_name = _fresh_name("Goal", taken)
+    a_name = fresh_name("A", taken)
+    goal_name = fresh_name("Goal", taken)
     constants = sorted(set(constant_names(c, q)) | set(extra_constants))
 
     rules: List[DatalogRule] = []

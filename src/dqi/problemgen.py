@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from .core import (
     Atom,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import (
     CQ,
@@ -26,24 +26,21 @@ from .core import (
     Fact,
     HeadDisjunct,
     Instance,
-    Null,
     RelationDecl,
     Schema,
     SchemaError,
     TGD,
-    Value,
     Var,
     active_domain,
     classify,
     canonical_db,
     canonical_query,
     constant_names,
+    fresh_name,
     ground_nulls,
     value_key,
     CONNECTED_TAG,
     CONST_TAG,
-    EGD_TAG,
-    LINEAR_TAG,
 )
 
 
@@ -96,24 +93,11 @@ def _require_kind(p: ProblemInstance, kind: str) -> None:
 
 
 def _fresh_relation(base: str, taken: Set[str]) -> str:
-    name = f"_aux_{base}"
-    while name in taken:
-        name = "_" + name
-    taken.add(name)
-    return name
+    return fresh_name(f"_aux_{base}", taken)
 
 
 def _fresh_value_names(count: int, taken: Set[str], stem: str) -> List[str]:
-    out: List[str] = []
-    i = 0
-    while len(out) < count:
-        name = f"{stem}{i}"
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        out.append(name)
-        i += 1
-    return out
+    return [fresh_name(f"{stem}{i}", taken) for i in range(count)]
 
 
 def _adom_names(values) -> Set[str]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Atom,
@@ -45,7 +45,6 @@ from .core import (
     UCQ,
     Value,
     Var,
-    fact_key,
 )
 
 HEADER = "dqi-1"

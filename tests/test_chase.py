@@ -201,3 +201,188 @@ def test_decide_pqi_critical_linear_matches_bounded_search(seed):
         pass
     if exp.answer is False:
         assert got is False
+
+
+# ---------------------------------------------------------------------------
+# step budgets, tripwires and forced groundings of the single-branch chases
+
+
+def chain_constraints(names):
+    """P0(x) -> P1(x), P1(x) -> P2(x), ...: one chase step per link."""
+    return ConstraintSet(tuple(
+        TGD((Atom(a, (Var("x"),)),), (HeadDisjunct((), (Atom(b, (Var("x"),)),)),))
+        for a, b in zip(names, names[1:])
+    ))
+
+
+def test_classical_chase_step_budget_is_exact():
+    names = ["P0", "P1", "P2", "P3"]
+    s = Schema(tuple(RelationDecl(n, 1, True) for n in names))
+    c = chain_constraints(names)
+    start = Instance(s, frozenset({Fact("P0", (Const("a"),))}))
+    everything = {Fact(n, (Const("a"),)) for n in names}
+    res = classical_chase(start, c, ChaseBudget(100, 100, 3))
+    assert res.status == SATURATED
+    assert res.instance.facts == everything
+    # the third step is one too many; the result holds what it produced
+    res = classical_chase(start, c, ChaseBudget(100, 100, 2))
+    assert res.status == BUDGET
+    assert res.instance.facts == everything
+
+
+def test_critical_chase_step_budget_is_exact():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H1", 1, False),
+                RelationDecl("H2", 1, False), RelationDecl("H3", 1, False)))
+    c = chain_constraints(["V", "H1", "H2", "H3"])
+    a = Const("a")
+    everything = {Fact(n, (a,)) for n in ("V", "H1", "H2", "H3")}
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 3))
+    assert res.status == SATURATED
+    assert res.instance.facts == everything
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 2))
+    assert res.status == BUDGET
+    assert res.instance.facts == everything
+
+
+def test_classical_chase_tripwire_reports_whether_the_instance_is_saturated():
+    names = ["P0", "P1", "P2"]
+    s = Schema(tuple(RelationDecl(n, 1, True) for n in names))
+    c = chain_constraints(names)
+    start = Instance(s, frozenset({Fact("P0", (Const("a"),))}))
+
+    def holds(name):
+        return lambda inst: bool(inst.facts_of(name))
+
+    # P1 appears after one step, while P1 -> P2 is still unmet
+    res = classical_chase(start, c, ChaseBudget(100, 100, 20), tripwire=holds("P1"))
+    assert res.status == BUDGET
+    assert res.instance.facts == {Fact("P0", (Const("a"),)), Fact("P1", (Const("a"),))}
+    # P2 appears with the last step: the instance satisfies every constraint
+    res = classical_chase(start, c, ChaseBudget(100, 100, 20), tripwire=holds("P2"))
+    assert res.status == SATURATED
+    assert satisfies(c, res.instance)
+    assert len(res.instance.facts) == 3
+
+
+def test_classical_chase_pending_triggers_follow_an_egd_merge():
+    s = Schema((RelationDecl("S", 1, True), RelationDecl("R", 2, True),
+                RelationDecl("T", 2, False), RelationDecl("U", 2, False)))
+    c = ConstraintSet((
+        TGD((Atom("S", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("T", (Var("x"), Var("y"))),)),)),
+        EGD((Atom("T", (Var("x"), Var("y"))), Atom("R", (Var("x"), Var("w")))), Var("y"), Var("w")),
+        TGD((Atom("T", (Var("x"), Var("y"))),),
+            (HeadDisjunct((Var("z"),), (Atom("U", (Var("y"), Var("z"))),)),)),
+    ))
+    a, b = Const("a"), Const("b")
+    start = Instance(s, frozenset({Fact("S", (a,)), Fact("R", (a, b))}))
+    # the U trigger on T(a, ?1) is queued before the merge ?1 -> b and
+    # must fire on T(a, b), never on the merged-away null
+    res = classical_chase(start, c, ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED
+    assert {f for f in res.instance.facts if f.relation != "U"} == {
+        Fact("S", (a,)), Fact("R", (a, b)), Fact("T", (a, b))}
+    assert [f.args[0] for f in res.instance.facts_of("U")] == [b]
+
+
+def test_critical_chase_egd_merges_a_null_into_the_critical_value():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 2, False)))
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("H", (Var("x"), Var("y"))),)),)),
+        EGD((Atom("H", (Var("x"), Var("y"))),), Var("x"), Var("y")),
+    ))
+    a = Const("a")
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED
+    assert res.instance.facts == {Fact("V", (a,)), Fact("H", (a, a))}
+
+
+def test_critical_chase_grounds_a_visible_heads_fresh_null_to_the_critical_value():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 2, True),
+                RelationDecl("H", 1, False)))
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("W", (Var("x"), Var("y"))),
+                                        Atom("H", (Var("y"),)))),)),
+    ))
+    a = Const("a")
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED
+    assert res.instance.facts == {Fact("V", (a,)), Fact("W", (a, a)), Fact("H", (a,))}
+
+
+def test_critical_chase_grounds_an_older_null_under_its_pending_triggers():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 2, False), RelationDecl("G", 2, False)))
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("H", (Var("x"), Var("y"))),)),)),
+        TGD((Atom("H", (Var("x"), Var("y"))),), (HeadDisjunct((), (Atom("W", (Var("y"),)),)),)),
+        TGD((Atom("H", (Var("x"), Var("y"))),),
+            (HeadDisjunct((Var("z"),), (Atom("G", (Var("y"), Var("z"))),)),)),
+    ))
+    a = Const("a")
+    # W(?1) grounds ?1 to a after the G trigger on H(a, ?1) was queued
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED
+    assert {f for f in res.instance.facts if f.relation != "G"} == {
+        Fact("V", (a,)), Fact("W", (a,)), Fact("H", (a, a))}
+    assert [f.args[0] for f in res.instance.facts_of("G")] == [a]
+
+
+# ---------------------------------------------------------------------------
+# step labels of the visible chase tree
+
+
+def steps_of(tree):
+    return [line.split("\t")[4] for line in tree.trace_tsv().splitlines()[1:]]
+
+
+def test_visible_chase_trace_labels_groundings_and_merges():
+    from dqi.core import Null
+
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 2, False)))
+    a, b = Const("a"), Const("b")
+    # a fresh visible null grounds to each visible value in turn
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("W", (Var("y"),)), Atom("H", (Var("x"), Var("y"))))),)),
+    ))
+    f0 = Instance(s, frozenset({Fact("V", (a,)), Fact("W", (a,)), Fact("W", (b,))}))
+    tree = visible_chase(c, s, f0, ChaseBudget(100, 100, 20))
+    assert steps_of(tree) == ["", "tgd#0/0 [?1->a]", "tgd#0/0 [?1->b]"]
+    # an EGD merge that keeps the visible part opens a child
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("H", (Var("x"), Var("y"))),)),)),
+        EGD((Atom("H", (Var("x"), Var("y"))),), Var("x"), Var("y")),
+    ))
+    tree = visible_chase(c, s, Instance(s, frozenset({Fact("V", (a,))})), ChaseBudget(100, 100, 20))
+    assert steps_of(tree) == ["", "tgd#0/0", "egd#1 a=?1"]
+    assert tree.nodes[2].status == LEAF
+    assert tree.nodes[2].instance.facts == {Fact("V", (a,)), Fact("H", (a, a))}
+    # an EGD merge of two visible values fails in one of two ways
+    s2 = Schema((RelationDecl("V", 2, True),))
+    c2 = ConstraintSet((EGD((Atom("V", (Var("x"), Var("y"))),), Var("x"), Var("y")),))
+    tree = visible_chase(c2, s2, Instance(s2, frozenset({Fact("V", (a, b))})), ChaseBudget(100, 100, 20))
+    assert steps_of(tree) == ["", "egd#0 a=b const-conflict"]
+    assert tree.nodes[1].status == DUMMY
+    tree = visible_chase(c2, s2, Instance(s2, frozenset({Fact("V", (a, Null(1)))})),
+                         ChaseBudget(100, 100, 20))
+    assert steps_of(tree) == ["", "egd#0 a=?1 visible-changed"]
+    assert tree.nodes[1].status == DUMMY
+
+
+def test_visible_chase_trace_labels_a_step_with_no_grounding():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 2, True)))
+    c = ConstraintSet((
+        TGD((Atom("V", (Var("x"),)),),
+            (HeadDisjunct((Var("y"),), (Atom("W", (Var("x"), Var("y"))),)),)),
+    ))
+    tree = visible_chase(c, s, Instance(s, frozenset({Fact("V", (Const("a"),))})),
+                         ChaseBudget(100, 100, 20))
+    assert steps_of(tree) == ["", "tgd#0/0 no-grounding"]
+    assert tree.nodes[1].status == DUMMY
+    assert not tree.leaves()
