@@ -22,16 +22,24 @@ EGD trigger identifies two values or clashes two constants.  Around it:
 The classical and critical chases run the same single-branch loop,
 `_chase_branch`; the visible chase builds its tree in its own loop.
 
-Plus the fact-type saturation for linear constraint sets, which makes
-query implication over the critical instance decidable without
-materializing an unbounded chase.
+Plus fact types for constant-free linear TGDs: a relation with the
+equality pattern of its values, kept canonical by `canon_pattern` and
+enumerated by `_patterns`.  `_bind` matches an atom against a type,
+`_apply_linear` applies one TGD to it, and one breadth-first loop,
+`_reach`, saturates a set of types.  `fact_type_closure` runs that loop
+from the critical instance over collapse-stable types, which decides
+query implication over the critical instance without materializing an
+unbounded chase (`decide_pqi_critical_linear`);
+`decide_owq_atomic_linear` runs it from the types of a given instance to
+answer atomic queries open-world.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .core import (
     Atom,
@@ -428,17 +436,22 @@ def visible_chase(
 A_MARK = 0
 
 
-def canon_pattern(entries: Sequence[int]) -> Tuple[int, ...]:
-    ren: Dict[int, int] = {}
-    out = []
-    for e in entries:
-        if e == A_MARK:
-            out.append(A_MARK)
-        else:
-            if e not in ren:
-                ren[e] = len(ren) + 1
-            out.append(ren[e])
-    return tuple(out)
+def canon_pattern(entries: Sequence[Hashable]) -> Tuple[int, ...]:
+    """Renumber the group labels of a pattern 1, 2, ... by first occurrence.
+
+    Any hashable other than `A_MARK` is a group label, so a fact's values
+    give the pattern of the fact."""
+    ren: Dict[Hashable, int] = {}
+    return tuple(A_MARK if e == A_MARK else ren.setdefault(e, len(ren) + 1) for e in entries)
+
+
+def _patterns(arity: int) -> List[Tuple[int, ...]]:
+    """All canonical patterns of a given arity, in lexicographic order: each
+    entry is `a` or a group at most one above the largest before it."""
+    pats: List[Tuple[int, ...]] = [()]
+    for _ in range(arity):
+        pats = [p + (e,) for p in pats for e in range(max(p, default=A_MARK) + 2)]
+    return pats
 
 
 @dataclass(frozen=True)
@@ -447,11 +460,7 @@ class FactType:
     pattern: Tuple[int, ...]  # A_MARK for `a`, else group number
 
     def groups(self) -> Tuple[int, ...]:
-        seen = []
-        for e in self.pattern:
-            if e != A_MARK and e not in seen:
-                seen.append(e)
-        return tuple(seen)
+        return tuple(dict.fromkeys(e for e in self.pattern if e != A_MARK))
 
 
 @dataclass(frozen=True)
@@ -483,59 +492,82 @@ def _linear_tgds(c: ConstraintSet) -> List[Tuple[int, TGD]]:
     return out
 
 
-def _apply_linear(dep_idx: int, dep: TGD, t: FactType) -> Optional[Tuple[FactType, Tuple[Tuple[int, int], ...]]]:
-    """Unify the TGD body with the fact type; give the raw produced type."""
-    body = dep.body[0]
-    head = dep.heads[0].atoms[0]
-    if body.relation != t.relation:
+def _bind(atom: Atom, t: FactType) -> Optional[Dict[Var, int]]:
+    """Bind the variables of a constant-free atom to the entries of a fact
+    type, or None when the relation or the equalities disagree."""
+    if atom.relation != t.relation:
         return None
     assign: Dict[Var, int] = {}
-    for term, entry in zip(body.args, t.pattern):
-        var = term  # constant-free by precondition
-        if var in assign and assign[var] != entry:
+    for var, entry in zip(atom.args, t.pattern):
+        if assign.setdefault(var, entry) != entry:  # type: ignore[arg-type]
             return None
-        assign[var] = entry  # type: ignore[index]
-    fresh = itertools.count(max([e for e in t.pattern if e != A_MARK], default=0) + 1)
-    exist_assign: Dict[Var, int] = {}
-    out_entries: List[int] = []
-    for term in head.args:
-        if term in assign:
-            out_entries.append(assign[term])  # copied position
-        else:
-            if term not in exist_assign:
-                exist_assign[term] = next(fresh)
-            out_entries.append(exist_assign[term])
-    # canonical renumbering with correspondence tracking
-    ren: Dict[int, int] = {}
-    canon: List[int] = []
-    for e in out_entries:
-        if e == A_MARK:
-            canon.append(A_MARK)
-        else:
-            if e not in ren:
-                ren[e] = len(ren) + 1
-            canon.append(ren[e])
-    corr = tuple(sorted((g, ren[g]) for g in set(t.pattern) if g != A_MARK and g in ren))
-    return FactType(head.relation, tuple(canon)), corr
+    return assign
+
+
+def _apply_linear(dep: TGD, t: FactType) -> Optional[Tuple[FactType, Tuple[Tuple[int, int], ...]]]:
+    """Unify the TGD body with the fact type; give the raw produced type."""
+    assign = _bind(dep.body[0], t)
+    if assign is None:
+        return None
+    head = dep.heads[0].atoms[0]
+    fresh = itertools.count(max(t.pattern, default=A_MARK) + 1)
+    for var in head.args:
+        if var not in assign:  # existential: a fresh group
+            assign[var] = next(fresh)  # type: ignore[index]
+    entries = [assign[var] for var in head.args]  # type: ignore[index]
+    canon = canon_pattern(entries)
+    source_groups = set(t.pattern) - {A_MARK}
+    corr = tuple(sorted({(e, g) for e, g in zip(entries, canon) if e in source_groups}))
+    return FactType(head.relation, canon), corr
+
+
+def _reach(linear: Sequence[Tuple[int, TGD]], roots: Iterable[FactType],
+           norm: Callable[[FactType], FactType]) -> Tuple[Set[FactType], Dict[FactType, List[TypeEdge]]]:
+    """Breadth-first closure of `roots` under linear-TGD application, with
+    every produced type passed through `norm`; returns the reached types and
+    the edges keyed by source."""
+    reached: Set[FactType] = set()
+    queue: deque = deque()
+    edges: Dict[FactType, List[TypeEdge]] = {}
+
+    def visit(t: FactType) -> None:
+        if t not in reached:
+            reached.add(t)
+            queue.append(t)
+
+    for r in roots:
+        visit(norm(r))
+    while queue:
+        t = queue.popleft()
+        for idx, dep in linear:
+            res = _apply_linear(dep, t)
+            if res is None:
+                continue
+            target, corr = res
+            stable_target = norm(target)
+            edges.setdefault(t, []).append(
+                TypeEdge(t, idx, stable_target, _restrict_corr(target, stable_target, corr)))
+            visit(stable_target)
+    return reached, edges
 
 
 @dataclass(frozen=True)
 class TypeClosure:
     """Saturated fact-type graph for a linear constraint set.
 
-    `forced` maps each type to the set of pattern groups that must equal
-    the distinguished constant in the critical-instance chase (because a
-    visible fact sharing that group is derivable).  `edges` is the
-    derivability relation between collapse-stable types; `reachable` the
-    types realized from the critical instance.
+    `edges` is the derivability relation between collapse-stable types,
+    keyed by source; `reachable` the types realized from the critical
+    instance.
     """
 
-    forced: Mapping[FactType, FrozenSet[int]]
-    edges: Tuple[TypeEdge, ...]
+    edges: Mapping[FactType, Sequence[TypeEdge]]
     reachable: FrozenSet[FactType]
 
 
-def _collapse(t: FactType, forced: Mapping[FactType, FrozenSet[int]]) -> FactType:
+Forced = Mapping[FactType, AbstractSet[int]]
+
+
+def _collapse(t: FactType, forced: Forced) -> FactType:
     groups = forced.get(t, frozenset())
     if not groups:
         return t
@@ -550,82 +582,45 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
     type's relation is visible, its groups are forced to the constant in
     the producing type (grounding in the critical instance maps every
     value of a visible fact to `a`); forcing collapses patterns, which can
-    enable more unifications, so repeat until stable.
+    enable more unifications, so repeat until stable.  `forced` maps each
+    type to the pattern groups that must equal the constant.
     """
     linear = _linear_tgds(c)
     forced: Dict[FactType, Set[int]] = {}
-
-    def all_types() -> Iterator[FactType]:
-        for r in s.relations:
-            for pat in _patterns(r.arity):
-                yield FactType(r.name, pat)
-
-    def forced_of(t: FactType) -> FrozenSet[int]:
-        return frozenset(forced.get(t, set()))
 
     # forcing fixpoint over every type (derivations may start anywhere)
     changed = True
     while changed:
         changed = False
-        for t in all_types():
-            ct = _collapse(t, {k: frozenset(v) for k, v in forced.items()})
-            for idx, dep in linear:
-                res = _apply_linear(idx, dep, ct)
+        for t in (FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)):
+            ct = _collapse(t, forced)
+            for _, dep in linear:
+                res = _apply_linear(dep, ct)
                 if res is None:
                     continue
                 target, corr = res
-                corr_map = dict(corr)
-                newly: Set[int] = set()
                 if s.decl(target.relation).visible:
                     # grounding forces every group copied into the visible fact
-                    newly = {g for g in corr_map}
+                    newly = {g for g, _ in corr}
                 else:
-                    tgt_forced = forced.get(_collapse(target, {k: frozenset(v) for k, v in forced.items()}), set())
-                    tgt_forced |= forced.get(target, set())
-                    newly = {g for g, g2 in corr_map.items() if g2 in tgt_forced}
+                    tgt_forced = forced.get(_collapse(target, forced), set()) | forced.get(target, set())
+                    newly = {g for g, g2 in corr if g2 in tgt_forced}
                 if newly:
                     # translate collapsed-type groups back to t's groups
                     back = _group_back_map(t, ct)
-                    for g in newly:
-                        for orig in back.get(g, ()):
-                            if orig not in forced.setdefault(t, set()):
-                                forced[t].add(orig)
-                                changed = True
-
-    forced_fz: Dict[FactType, FrozenSet[int]] = {k: frozenset(v) for k, v in forced.items()}
+                    mine = forced.setdefault(t, set())
+                    added = {orig for g in newly for orig in back.get(g, ())} - mine
+                    if added:
+                        mine |= added
+                        changed = True
 
     # reachability from the critical instance over collapse-stable types
     roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
-    reachable: Set[FactType] = set()
-    edges: List[TypeEdge] = []
-    queue = deque()
-    for r in roots:
-        rc = _stable(r, forced_fz)
-        if rc not in reachable:
-            reachable.add(rc)
-            queue.append(rc)
-    while queue:
-        t = queue.popleft()
-        for idx, dep in linear:
-            res = _apply_linear(idx, dep, t)
-            if res is None:
-                continue
-            target, corr = res
-            stable_target = _stable(target, forced_fz)
-            corr2 = _restrict_corr(target, stable_target, corr)
-            edges.append(TypeEdge(t, idx, stable_target, corr2))
-            if stable_target not in reachable:
-                reachable.add(stable_target)
-                queue.append(stable_target)
-
-    return TypeClosure(
-        forced=forced_fz,
-        edges=tuple(edges),
-        reachable=frozenset(reachable),
-    )
+    reachable, edges = _reach(linear, roots, lambda t: _stable(t, forced))
+    return TypeClosure(edges=edges, reachable=frozenset(reachable))
 
 
-def _stable(t: FactType, forced: Mapping[FactType, FrozenSet[int]]) -> FactType:
+def _stable(t: FactType, forced: Forced) -> FactType:
     while True:
         t2 = _collapse(t, forced)
         if t2 == t:
@@ -637,20 +632,9 @@ def _restrict_corr(raw_target: FactType, stable_target: FactType,
                    corr: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
     """Push a correspondence through the collapse of the target type."""
     # map raw target groups to stable target entries by position
-    pos_map: Dict[int, int] = {}
-    ok_groups: Set[int] = set()
-    for raw_e, st_e in zip(raw_target.pattern, stable_target.pattern):
-        if raw_e == A_MARK:
-            continue
-        if st_e == A_MARK:
-            continue
-        pos_map[raw_e] = st_e
-        ok_groups.add(raw_e)
-    out = []
-    for g, g2 in corr:
-        if g2 in pos_map:
-            out.append((g, pos_map[g2]))
-    return tuple(sorted(out))
+    pos_map = {raw_e: st_e for raw_e, st_e in zip(raw_target.pattern, stable_target.pattern)
+               if raw_e != A_MARK and st_e != A_MARK}
+    return tuple(sorted((g, pos_map[g2]) for g, g2 in corr if g2 in pos_map))
 
 
 def _group_back_map(original: FactType, collapsed: FactType) -> Dict[int, List[int]]:
@@ -663,17 +647,6 @@ def _group_back_map(original: FactType, collapsed: FactType) -> Dict[int, List[i
         if o not in back[c]:
             back[c].append(o)
     return back
-
-
-def _patterns(arity: int) -> Iterator[Tuple[int, ...]]:
-    """All canonical patterns of a given arity (entries: `a` or groups)."""
-    if arity == 0:
-        yield ()
-        return
-    for raw in itertools.product(range(arity + 1), repeat=arity):
-        pat = canon_pattern(raw)
-        if pat == raw:
-            yield pat
 
 
 # ---------------------------------------------------------------------------
@@ -701,36 +674,9 @@ def decide_owq_atomic_linear(q: UCQ, c: ConstraintSet, i: Instance) -> Optional[
         if any(isinstance(t, CName) for t in atom.args):
             return None
         shapes.append(atom)
-    start = set()
-    for f in i.facts:
-        order: Dict[Value, int] = {}
-        for val in f.args:
-            order.setdefault(val, len(order) + 1)
-        start.add(FactType(f.relation, canon_pattern(tuple(order[val] for val in f.args))))
-    reached = set(start)
-    queue = list(start)
-    while queue:
-        t = queue.pop()
-        for idx, dep in linear:
-            res = _apply_linear(idx, dep, t)
-            if res is None:
-                continue
-            target, _ = res
-            if target not in reached:
-                reached.add(target)
-                queue.append(target)
-
-    def matches(atom: Atom, t: FactType) -> bool:
-        if atom.relation != t.relation:
-            return False
-        seen: Dict[Var, int] = {}
-        for term, entry in zip(atom.args, t.pattern):
-            if term in seen and seen[term] != entry:
-                return False
-            seen[term] = entry
-        return True
-
-    return any(matches(a, t) for a in shapes for t in reached)
+    start = [FactType(f.relation, canon_pattern(f.args)) for f in i.facts]
+    reached, _ = _reach(linear, start, lambda t: t)
+    return any(_bind(a, t) is not None for a in shapes for t in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -757,49 +703,14 @@ def decide_pqi_critical_linear(q: UCQ, c: ConstraintSet, s: Schema) -> bool:
 
 
 def _disjunct_embeds(d: CQ, closure: TypeClosure, s: Schema) -> bool:
+    if any(isinstance(t, CName) for atom in d.atoms for t in atom.args):
+        return False  # constant-free setting
     variables = list(d.variables)
-    for assignment in _var_assignments(variables):
-        image = []
-        ok = True
-        for atom in d.atoms:
-            entries = []
-            for t in atom.args:
-                if isinstance(t, CName):
-                    ok = False  # constant-free setting
-                    break
-                entries.append(assignment[t])
-            if not ok:
-                break
-            image.append((atom.relation, tuple(entries)))
-        if not ok:
-            continue
+    for assignment in (dict(zip(variables, p)) for p in _patterns(len(variables))):
+        image = [(atom.relation, tuple(assignment[t] for t in atom.args)) for atom in d.atoms]
         if _image_realized(image, closure, s):
             return True
     return False
-
-
-def _var_assignments(variables: Sequence[Var]) -> Iterator[Dict[Var, int]]:
-    """Assign each variable `a` (0) or a null id; null ids canonical."""
-    n = len(variables)
-    for raw in itertools.product(range(n + 1), repeat=n):
-        # canonical: nonzero values appear in increasing first-use order
-        ren: Dict[int, int] = {}
-        out: Dict[Var, int] = {}
-        canonical = True
-        for v, e in zip(variables, raw):
-            if e == 0:
-                out[v] = 0
-            else:
-                if e not in ren:
-                    nxt = len(ren) + 1
-                    if e != nxt:
-                        canonical = False
-                        break
-                    ren[e] = nxt
-                out[v] = ren[e]
-        if canonical:
-            yield out
-
 
 def _image_realized(image: Sequence[Tuple[str, Tuple[int, ...]]], closure: TypeClosure,
                     s: Schema) -> bool:
@@ -812,13 +723,9 @@ def _image_realized(image: Sequence[Tuple[str, Tuple[int, ...]]], closure: TypeC
     if not nullish:
         return True
     # group facts into components connected by shared nulls
-    comps = _null_components(nullish)
-    edge_by_src: Dict[FactType, List[TypeEdge]] = {}
-    for e in closure.edges:
-        edge_by_src.setdefault(e.source, []).append(e)
-    for comp in comps:
+    for comp in _null_components(nullish):
         if not any(
-            _realize_component(root, comp, {}, edge_by_src, frozenset())
+            _realize_component(root, comp, {}, closure.edges, frozenset())
             for root in sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
         ):
             return False
@@ -887,7 +794,7 @@ def _realize_component(
     t: FactType,
     pending: Sequence[Tuple[str, Tuple[int, ...]]],
     bind: Mapping[int, int],
-    edge_by_src: Mapping[FactType, List[TypeEdge]],
+    edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
     trail: FrozenSet[Tuple],
 ) -> bool:
     """Can the pending facts be realized in the forest subtree below a node
@@ -932,7 +839,7 @@ def _spread_children(
     pending: List[Tuple[str, Tuple[int, ...]]],
     bind: Mapping[int, int],
     live: Set[int],
-    edge_by_src: Mapping[FactType, List[TypeEdge]],
+    edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
     trail: FrozenSet[Tuple],
 ) -> bool:
     """Distribute pending facts among the node's children (one child per

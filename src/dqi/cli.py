@@ -206,9 +206,7 @@ def _report(args: argparse.Namespace, verdict: Verdict, started: float,
 
 
 def _exactness_of(verdict: Verdict) -> str:
-    if isinstance(verdict.certificate, (ClassExact, Witness)):
-        return "ExactForClass"
-    if isinstance(verdict.certificate, ChaseExhausted):
+    if isinstance(verdict.certificate, (ClassExact, Witness, ChaseExhausted)):
         return "ExactForClass"
     return "BoundedOnly"
 
@@ -305,10 +303,10 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     v = _pick_instance(pf, args.instance, args.file)
     text = emit_gnfo(args.problem.upper(), q, pf.constraints, pf.schema, v)
     if args.out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     return EXIT_TRUE
 
 

@@ -65,6 +65,7 @@ from .core import (
     ID_TAG,
     LINEAR_TAG,
 )
+from .textio import _fo_atom
 
 # ---------------------------------------------------------------------------
 # equality patterns
@@ -119,6 +120,21 @@ def canonical_patterns(n: int, constants: Sequence[str]) -> List[Pattern]:
 
 def pattern_var_count(p: Pattern) -> int:
     return len({e[1] for e in p if e[0] == "v"})
+
+
+def _bind_pattern(terms: Sequence[Union[Var, CName]], pattern: Pattern) -> Optional[Dict[Var, Entry]]:
+    """Bind each variable of `terms` to the pattern entry at its positions.
+
+    A variable may meet only one entry, and a constant only ``("c", its
+    name)``; otherwise None."""
+    bound: Dict[Var, Entry] = {}
+    for t, e in zip(terms, pattern):
+        if isinstance(t, CName):
+            if e != ("c", t.name):
+                return None
+        elif bound.setdefault(t, e) != e:
+            return None
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +238,24 @@ def _unify_dropped(
     terms: Sequence[Union[Var, CName]],
     pattern: Pattern,
     selected_vars: Set[Var],
-) -> Optional[Dict[Var, Union[Var, CName, Entry]]]:
+) -> Optional[Dict[Var, Union[Var, CName]]]:
     """Match the dropped body positions of an atom against a copy pattern.
 
     Returns a substitution for the atom's variables, or None when no sound
-    translation exists.  A variable bound to a pattern variable is recorded
-    as the entry itself; variables sharing an entry are unified later.
+    translation exists.  A variable on a constant entry becomes that
+    constant; variables sharing a pattern variable all become the first of
+    them.
     Soundness requirement: every fact admitted by the pattern and matching
     the selected positions must satisfy the original atom, so each term's
     dropped occurrences must pin down a single entry, constants must appear
     literally, and a variable cannot live on both sides of the split.
     """
-    entry_of: Dict[Union[Var, CName], Entry] = {}
-    for t, e in zip(terms, pattern):
-        if isinstance(t, CName):
-            if e != ("c", t.name):
-                return None
-        else:
-            if t in entry_of and entry_of[t] != e:
-                return None
-            entry_of[t] = e
-    subst: Dict[Var, Union[Var, CName, Entry]] = {}
+    entry_of = _bind_pattern(terms, pattern)
+    if entry_of is None:
+        return None
+    subst: Dict[Var, Union[Var, CName]] = {}
     rep_for_entry: Dict[Entry, Var] = {}
     for t, e in entry_of.items():
-        assert isinstance(t, Var)
         if e[0] == "c":
             subst[t] = CName(e[1])
         else:
@@ -283,6 +293,7 @@ def transform_adom(
     # copies of every hidden relation, one per (selected set, pattern)
     copies: List[CopyRelation] = []
     copies_of: Dict[str, List[CopyRelation]] = {}
+    copy_at: Dict[Tuple[str, Tuple[int, ...], Pattern], CopyRelation] = {}
     for rel in s.hidden_relations:
         per_rel: List[CopyRelation] = []
         idx = 0
@@ -292,9 +303,9 @@ def transform_adom(
                 for pat in canonical_patterns(rel.arity - len(sel), pool):
                     name = fresh_name(f"{rel.name}_c{idx}", taken)
                     idx += 1
-                    per_rel.append(
-                        CopyRelation(rel.name, rel.arity, sel, pat, name)
-                    )
+                    cp = CopyRelation(rel.name, rel.arity, sel, pat, name)
+                    per_rel.append(cp)
+                    copy_at[(rel.name, sel, pat)] = cp
         copies.extend(per_rel)
         copies_of[rel.name] = per_rel
         if len(copies) > max_copies:
@@ -351,12 +362,7 @@ def transform_adom(
                     and (t in selected_vars or t in kept_exist)
                 )
                 dropped = [z[j] for j in range(len(z)) if j not in set(keep)]
-                pat = pattern_of_terms(dropped)
-                target = next(
-                    cp
-                    for cp in copies_of[head_atom.relation]
-                    if cp.selected == keep and cp.pattern == pat
-                )
+                target = copy_at[(head_atom.relation, keep, pattern_of_terms(dropped))]
                 atom = Atom(target.name, tuple(z[j] for j in keep))
                 disjunct = HeadDisjunct(
                     tuple(v for v in kept_exist if any(t == v for t in atom.args)),
@@ -379,18 +385,10 @@ def transform_adom(
                 sel_terms = tuple(body.args[i] for i in cp.selected)
                 selected_vars = {t for t in sel_terms if isinstance(t, Var)}
                 dropped_terms = tuple(body.args[i] for i in cp.dropped)
-                raw = _unify_dropped(dropped_terms, cp.pattern, selected_vars)
-                if raw is None:
+                subst = _unify_dropped(dropped_terms, cp.pattern, selected_vars)
+                if subst is None:
                     continue
-                subst = {v: w for v, w in raw.items() if not isinstance(w, tuple)}
-                new_body = Atom(
-                    cp.name,
-                    tuple(
-                        subst.get(t, t) if isinstance(t, Var) else t
-                        for t in sel_terms
-                    ),
-                )
-                body_copies.append((new_body, subst))
+                body_copies.append((_apply_subst(Atom(cp.name, sel_terms), subst), subst))
         for new_body, subst in body_copies:
             selected_vars = {t for t in new_body.args if isinstance(t, Var)}
             disjuncts = head_translation(
@@ -415,34 +413,13 @@ def transform_adom(
             else:
                 for cp in copies_of[a.relation]:
                     sel_terms = tuple(a.args[i] for i in cp.selected)
-                    dropped_terms = tuple(a.args[i] for i in cp.dropped)
-                    entry_of: Dict[Union[Var, CName], Entry] = {}
-                    bad = False
-                    for t, e in zip(dropped_terms, cp.pattern):
-                        if isinstance(t, CName):
-                            if e != ("c", t.name):
-                                bad = True
-                                break
-                        elif t in entry_of and entry_of[t] != e:
-                            bad = True
-                            break
-                        else:
-                            entry_of[t] = e
-                    if bad:
+                    entry_of = _bind_pattern(tuple(a.args[i] for i in cp.dropped), cp.pattern)
+                    if entry_of is None:
                         continue
-                    marks: Dict[Var, object] = {}
-                    for t in sel_terms:
-                        if isinstance(t, Var):
-                            marks[t] = "sel"
-                    ok = True
-                    for t, e in entry_of.items():
-                        assert isinstance(t, Var)
-                        if t in marks and marks[t] == "sel":
-                            ok = False  # split within one atom
-                            break
-                        marks[t] = ("c", e[1]) if e[0] == "c" else "pat"
-                    if not ok:
-                        continue
+                    marks: Dict[Var, object] = {t: "sel" for t in sel_terms if isinstance(t, Var)}
+                    if any(t in marks for t in entry_of):
+                        continue  # split within one atom
+                    marks.update((t, e if e[0] == "c" else "pat") for t, e in entry_of.items())
                     opts.append((Atom(cp.name, sel_terms), marks))
             choices_per_atom.append(opts)
         for combo in itertools.product(*choices_per_atom):
@@ -544,16 +521,6 @@ class GFPProgram:
         return dict(self.arities)
 
 
-def _term_text(t: Union[Var, CName]) -> str:
-    return t.name if isinstance(t, Var) else f'"{t.name}"'
-
-
-def _atom_text(a: Atom) -> str:
-    if not a.args:
-        return f"{a.relation}()"
-    return f"{a.relation}({', '.join(_term_text(t) for t in a.args)})"
-
-
 def program_text(p: GFPProgram) -> str:
     """Readable Datalog form: header lines, then one rule per line."""
     lines = [
@@ -564,10 +531,10 @@ def program_text(p: GFPProgram) -> str:
     for r in p.rules:
         if r.body:
             lines.append(
-                f"{_atom_text(r.head)} :- " + ", ".join(_atom_text(a) for a in r.body) + "."
+                f"{_fo_atom(r.head)} :- " + ", ".join(_fo_atom(a) for a in r.body) + "."
             )
         else:
-            lines.append(f"{_atom_text(r.head)}.")
+            lines.append(f"{_fo_atom(r.head)}.")
     return "\n".join(lines) + "\n"
 
 
@@ -606,39 +573,23 @@ def build_gfp_program(
         tgds_by_rel.setdefault(t.body[0].relation, []).append(t)
     exist_counter = itertools.count(1)
     for rel in s.hidden_relations:
-        shapes: List[Pattern] = [
-            tuple(("v", ("g", i)) for i in range(rel.arity))  # generic shape
-        ]
+        shapes: List[Pattern] = [tuple(("v", i) for i in range(rel.arity))]  # generic shape
         for t in tgds_by_rel.get(rel.name, ()):
             pat = pattern_of_terms(t.body[0].args)
-            if _canon(pat) not in [_canon(sh) for sh in shapes]:
+            if pat not in shapes:
                 shapes.append(pat)
         for shape in shapes:
-            shape = _canon(shape)
-            head_args: List[Union[Var, CName]] = [
-                CName(e[1]) if e[0] == "c" else Var(f"w{e[1]}") for e in shape
-            ]
-            head = Atom(rel.name, tuple(head_args))
-            body: List[Atom] = []
-            for t in dict.fromkeys(head_args):
-                body.append(Atom(a_name, (t,)))
+            arg_of: Dict[Entry, Union[Var, CName]] = {
+                e: CName(e[1]) if e[0] == "c" else Var(f"w{e[1]}") for e in shape
+            }
+            head = Atom(rel.name, tuple(arg_of[e] for e in shape))
+            body = [Atom(a_name, (t,)) for t in arg_of.values()]
             for t in tgds_by_rel.get(rel.name, ()):
                 # does every tuple of this shape trigger the constraint?
-                m: Dict[Var, Union[Var, CName]] = {}
-                fits = True
-                for bt, ha in zip(t.body[0].args, head_args):
-                    if isinstance(bt, CName):
-                        if not (isinstance(ha, CName) and ha.name == bt.name):
-                            fits = False
-                            break
-                    elif bt in m:
-                        if m[bt] != ha:
-                            fits = False
-                            break
-                    else:
-                        m[bt] = ha
-                if not fits:
+                bound = _bind_pattern(t.body[0].args, shape)
+                if bound is None:
                     continue
+                m = {v: arg_of[e] for v, e in bound.items()}
                 if len(t.heads) > 1:
                     # a disjunctive obligation cannot become a conjunct; the
                     # largest-model pass enforces it instead

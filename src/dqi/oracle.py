@@ -10,14 +10,16 @@ because a concrete witness is in hand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     ConstraintSet,
     Const,
     Fact,
     Instance,
+    RelationDecl,
     Schema,
     UCQ,
     active_domain,
@@ -66,26 +68,31 @@ def enumerate_extensions(v: Instance, s: Schema, d: DomainBound,
     increasing cardinality.  Each hidden-fact subset appears exactly once.
     """
     base = Instance(s, frozenset(v.facts))
-    domain = sorted(active_domain(base) | set(fresh_constants(d.extra_values))
-                    | set(extra_constants), key=value_key)
-    pool = []
-    for rel in sorted(s.hidden_relations, key=lambda r: r.name):
-        for tup in itertools.product(domain, repeat=rel.arity):
-            pool.append(Fact(rel.name, tup))
-    budget = max(d.max_facts_total - len(base.facts), 0)
-    top = min(len(pool), budget)
-    size = sum(_comb(len(pool), k) for k in range(top + 1))
+    yield from _subsets(base, _facts_over(s.hidden_relations, base, d, extra_constants), d)
+
+
+def _facts_over(relations: Sequence[RelationDecl], i: Instance, d: DomainBound,
+                extra_constants: Tuple[Const, ...]) -> List[Fact]:
+    """Every fact of `relations` (by name, tuples lexicographic) over the
+    active domain of `i`, `d.extra_values` fresh constants and
+    `extra_constants`."""
+    domain = sorted(active_domain(i) | set(fresh_constants(d.extra_values)) | set(extra_constants),
+                    key=value_key)
+    return [Fact(rel.name, tup) for rel in sorted(relations, key=lambda r: r.name)
+            for tup in itertools.product(domain, repeat=rel.arity)]
+
+
+def _subsets(base: Instance, pool: List[Fact], d: DomainBound) -> Iterator[Instance]:
+    """`base` plus every subset of `pool` that keeps the instance within
+    `d.max_facts_total` facts, by increasing size; raises SearchSpaceTooLarge
+    first when their number exceeds `d.space_ceiling`."""
+    top = min(len(pool), max(d.max_facts_total - len(base.facts), 0))
+    size = sum(math.comb(len(pool), k) for k in range(top + 1))
     if size > d.space_ceiling:
         raise SearchSpaceTooLarge(size)
     for k in range(top + 1):
         for combo in itertools.combinations(pool, k):
             yield base.with_facts(combo)
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def _models(q_guard: ConstraintSet, v: Instance, s: Schema, d: DomainBound,
@@ -123,22 +130,8 @@ def oracle_realizable(c: ConstraintSet, s: Schema, v: Instance, d: DomainBound) 
 def enumerate_supersets(i: Instance, s: Schema, d: DomainBound,
                         extra_constants: Tuple[Const, ...] = ()) -> Iterator[Instance]:
     """All supersets of i (any relation) over the bounded domain."""
-    domain = sorted(active_domain(i) | set(fresh_constants(d.extra_values))
-                    | set(extra_constants), key=value_key)
-    pool = []
-    for rel in sorted(s.relations, key=lambda r: r.name):
-        for tup in itertools.product(domain, repeat=rel.arity):
-            f = Fact(rel.name, tup)
-            if f not in i.facts:
-                pool.append(f)
-    budget = max(d.max_facts_total - len(i.facts), 0)
-    top = min(len(pool), budget)
-    size = sum(_comb(len(pool), k) for k in range(top + 1))
-    if size > d.space_ceiling:
-        raise SearchSpaceTooLarge(size)
-    for k in range(top + 1):
-        for combo in itertools.combinations(pool, k):
-            yield i.with_facts(combo)
+    pool = [f for f in _facts_over(s.relations, i, d, extra_constants) if f not in i.facts]
+    yield from _subsets(i, pool, d)
 
 
 def oracle_owq(q: UCQ, c: ConstraintSet, i: Instance, d: DomainBound) -> OracleAnswer:

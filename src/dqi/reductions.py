@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .core import (
     CQ,
@@ -129,6 +129,14 @@ def _extend_atom(a: Atom, extra) -> Atom:
     return Atom(a.relation, a.args + (extra,))
 
 
+def _map_atoms(dep: Dependency, f: Callable[[Atom], Atom]) -> Dependency:
+    """The same dependency with `f` applied to every atom."""
+    body = tuple(f(a) for a in dep.body)
+    if isinstance(dep, EGD):
+        return EGD(body, dep.left, dep.right)
+    return TGD(body, tuple(HeadDisjunct(h.exist_vars, tuple(f(a) for a in h.atoms)) for h in dep.heads))
+
+
 # ---------------------------------------------------------------------------
 # 1. union query -> conjunctive query (positive implication, instance level)
 
@@ -160,15 +168,7 @@ def ucq_to_cq(p: ProblemInstance) -> ProblemInstance:
     deps: List[Dependency] = []
     for dep in c.dependencies:
         b = _fresh_var("tv", _dep_vars(dep))
-        if isinstance(dep, TGD):
-            body = tuple(_extend_atom(a, b) for a in dep.body)
-            heads = tuple(
-                HeadDisjunct(h.exist_vars, tuple(_extend_atom(a, b) for a in h.atoms))
-                for h in dep.heads
-            )
-            deps.append(TGD(body, heads))
-        else:
-            deps.append(EGD(tuple(_extend_atom(a, b) for a in dep.body), dep.left, dep.right))
+        deps.append(_map_atoms(dep, lambda a: _extend_atom(a, b)))
 
     # the truth value 0 doubles as the padding value; one linear rule per
     # hidden relation forces its all-0 padding row into every completion,
@@ -245,11 +245,7 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     if any(len(t.body) != 1 for t in c.tgds):
         raise ClassError("the disjunction-elimination step requires linear TGDs")
 
-    widths = _disj_widths(c)
-    taken_rel = set(s.by_name)
-    or_names = {m: _fresh_relation(f"or{m}", taken_rel) for m in widths}
-    check_names = {m: _fresh_relation(f"check{m}", taken_rel) for m in widths}
-    init_name = _fresh_relation("init", taken_rel)
+    widths, or_names, check_names, init_name, zero_name_v, one_name_v = _constant_encoding_names(q, c, s)
     relations = tuple(RelationDecl(r.name, r.arity + 1, r.visible) for r in s.relations) + tuple(
         RelationDecl(or_names[m], m, True) for m in widths
     ) + tuple(
@@ -259,8 +255,6 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     )
     s2 = Schema(relations)
 
-    taken_vals = set(constant_names(c, q))
-    zero_name_v, one_name_v = _fresh_value_names(2, taken_vals, "")
     zero, one = CName(zero_name_v), CName(one_name_v)
 
     deps: List[Dependency] = []
@@ -308,8 +302,19 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(EXISTS_PQI, c2, s2, query=UCQ(disjuncts))
 
 
-def _disj_widths(c: ConstraintSet) -> List[int]:
-    return sorted({len(t.heads) for t in c.tgds if len(t.heads) > 1})
+def _constant_encoding_names(
+    q: UCQ, c: ConstraintSet, s: Schema
+) -> Tuple[List[int], Dict[int, str], Dict[int, str], str, str, str]:
+    """The fresh names `disj_to_constants` introduces: the head-disjunction
+    widths, the lookup and certification relation per width, the
+    initialization relation, and the values 0 and 1."""
+    widths = sorted({len(t.heads) for t in c.tgds if len(t.heads) > 1})
+    taken_rel = set(s.by_name)
+    or_names = {m: _fresh_relation(f"or{m}", taken_rel) for m in widths}
+    check_names = {m: _fresh_relation(f"check{m}", taken_rel) for m in widths}
+    init_name = _fresh_relation("init", taken_rel)
+    zero_name_v, one_name_v = _fresh_value_names(2, set(constant_names(c, q)), "")
+    return widths, or_names, check_names, init_name, zero_name_v, one_name_v
 
 
 def constant_encoding_lift(p: ProblemInstance, v: Instance) -> Instance:
@@ -321,16 +326,8 @@ def constant_encoding_lift(p: ProblemInstance, v: Instance) -> Instance:
     _require_kind(p, EXISTS_PQI)
     q, c, s = p.query, p.constraints, p.schema
     assert q is not None
-    out = disj_to_constants(p)
-    s2 = out.schema
-    widths = _disj_widths(c)
-    taken_rel = set(s.by_name)
-    or_names = {m: _fresh_relation(f"or{m}", taken_rel) for m in widths}
-    for m in widths:
-        _fresh_relation(f"check{m}", taken_rel)
-    init_name = _fresh_relation("init", taken_rel)
-    taken_vals = set(constant_names(c, q))
-    zero_name_v, one_name_v = _fresh_value_names(2, taken_vals, "")
+    s2 = disj_to_constants(p).schema
+    widths, or_names, _, init_name, zero_name_v, one_name_v = _constant_encoding_names(q, c, s)
     zero, one = Const(zero_name_v), Const(one_name_v)
 
     facts: Set[Fact] = {Fact(init_name, ())}
@@ -385,13 +382,7 @@ def pqi_to_nqi(p: ProblemInstance, connected: bool = False) -> ProblemInstance:
     deps = []
     for dep in c.dependencies:
         w = _fresh_var("w", _dep_vars(dep))
-        if isinstance(dep, TGD):
-            deps.append(TGD(
-                tuple(_extend_atom(a, w) for a in dep.body),
-                tuple(HeadDisjunct(h.exist_vars, tuple(_extend_atom(a, w) for a in h.atoms)) for h in dep.heads),
-            ))
-        else:
-            deps.append(EGD(tuple(_extend_atom(a, w) for a in dep.body), dep.left, dep.right))
+        deps.append(_map_atoms(dep, lambda a: _extend_atom(a, w)))
     for d in q.disjuncts:
         w = _fresh_var("w", set(d.variables))
         deps.append(TGD(
@@ -534,18 +525,8 @@ def realizability_to_nqi(c: ConstraintSet, s: Schema, v: Instance) -> ProblemIns
         ])
     s2 = Schema(tuple(relations))
 
-    def rename(a: Atom) -> Atom:
-        return Atom(hidden[a.relation], a.args)
-
-    deps: List[Dependency] = []
-    for dep in c.dependencies:
-        if isinstance(dep, TGD):
-            deps.append(TGD(
-                tuple(rename(a) for a in dep.body),
-                tuple(HeadDisjunct(h.exist_vars, tuple(rename(a) for a in h.atoms)) for h in dep.heads),
-            ))
-        else:
-            deps.append(EGD(tuple(rename(a) for a in dep.body), dep.left, dep.right))
+    deps: List[Dependency] = [_map_atoms(dep, lambda a: Atom(hidden[a.relation], a.args))
+                              for dep in c.dependencies]
 
     for r in s.visible_relations:
         xs = tuple(Var(f"x{i}") for i in range(r.arity))

@@ -475,9 +475,12 @@ def _fo_const(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _fo_term(t: Term) -> str:
+    return t.name if isinstance(t, Var) else _fo_const(t.name)
+
+
 def _fo_atom(a: Atom) -> str:
-    args = ", ".join(t.name if isinstance(t, Var) else _fo_const(t.name) for t in a.args)
-    return f"{a.relation}({args})"
+    return f"{a.relation}({', '.join(_fo_term(t) for t in a.args)})"
 
 
 def _fo_conj(parts: Sequence[str]) -> str:
@@ -511,9 +514,7 @@ def _fo_dependency(d: Dependency) -> str:
     body_vars = sorted({v.name for a in d.body for v in a.variables})
     body = _fo_conj([_fo_atom(a) for a in d.body])
     if isinstance(d, EGD):
-        lhs = d.left.name if isinstance(d.left, Var) else _fo_const(d.left.name)
-        rhs = d.right.name if isinstance(d.right, Var) else _fo_const(d.right.name)
-        inner = f"({body} -> {lhs} = {rhs})"
+        inner = f"({body} -> {_fo_term(d.left)} = {_fo_term(d.right)})"
     else:
         heads = []
         for h in d.heads:

@@ -11,8 +11,11 @@ from dqi.chase import (
     EGD_FAILURE,
     LEAF,
     SATURATED,
+    _patterns,
+    canon_pattern,
     chase_vis_critical,
     classical_chase,
+    decide_owq_atomic_linear,
     decide_pqi_critical_linear,
     visible_chase,
 )
@@ -34,7 +37,13 @@ from dqi.core import (
     satisfies,
 )
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi, oracle_pqi
-from dqi.problemgen import random_id_problem, random_linear_constraints, random_schema, random_visible_instance
+from dqi.problemgen import (
+    random_boolean_query,
+    random_id_problem,
+    random_linear_constraints,
+    random_schema,
+    random_visible_instance,
+)
 
 
 def two_rel_schema():
@@ -386,3 +395,35 @@ def test_visible_chase_trace_labels_a_step_with_no_grounding():
     assert steps_of(tree) == ["", "tgd#0/0 no-grounding"]
     assert tree.nodes[1].status == DUMMY
     assert not tree.leaves()
+
+
+# ---------------------------------------------------------------------------
+# fact types: the pattern enumerator and exact atomic open-world answering
+
+
+def test_patterns_enumerates_each_canonical_pattern_once():
+    # a pattern of n positions is a set partition of the n positions plus
+    # the constant, so there are Bell(n + 1) of them
+    for n, bell in enumerate((1, 2, 5, 15, 52, 203)):
+        pats = list(_patterns(n))
+        assert len(pats) == bell and len(set(pats)) == bell
+        assert all(len(p) == n and canon_pattern(p) == p for p in pats)
+
+
+def test_decide_owq_atomic_linear_agrees_with_the_saturated_chase():
+    saturated = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = random_schema(rng, max_relations=3, max_arity=3)
+        c = random_linear_constraints(rng, s, max_deps=3)
+        q = random_boolean_query(rng, s, max_atoms=1)
+        dom = [Const("a"), Const("b")]
+        facts = {Fact(r.name, tuple(rng.choice(dom) for _ in range(r.arity)))
+                 for r in s.relations for _ in range(rng.randint(0, 2))}
+        i = Instance(s, frozenset(facts))
+        res = classical_chase(i, c, ChaseBudget(max_depth=60))
+        if res.status != SATURATED:
+            continue
+        saturated += 1
+        assert decide_owq_atomic_linear(q, c, i) is (eval_ucq(q, res.instance) is True), seed
+    assert saturated >= 150

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dqi.core import (
     Atom,
+    CName,
     ClassError,
     Const,
     ConstraintSet,
@@ -227,3 +228,15 @@ def test_largest_model_keeps_a_fact_until_its_last_disjunct_dies():
     assert none_left is not None
     assert {f for f in none_left.facts if f.relation in "HSTUW"} == kept_by_a
 
+
+
+def test_program_text_escapes_a_quoted_constant():
+    s = Schema((RelationDecl("R", 1, True), RelationDecl("H", 1, False)))
+    c = ConstraintSet((
+        TGD((Atom("H", (CName('a"b'),)),),
+            (HeadDisjunct((), (Atom("R", (CName('a"b'),)),)),)),
+    ))
+    q = boolean_ucq([Atom("H", (Var("x"),))])
+    text = program_text(build_gfp_program(q, c, s))
+    assert 'A("a\\"b").' in text.splitlines()
+    assert 'H("a\\"b") :- A("a\\"b"), R("a\\"b").' in text.splitlines()
