@@ -7,7 +7,6 @@ distinct values, and a constant is never equal to a labeled null.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -192,6 +191,12 @@ class Instance:
     def facts_of(self, relation: str) -> Tuple[Fact, ...]:
         return tuple(sorted((f for f in self.facts if f.relation == relation), key=fact_key))
 
+    @cached_property
+    def _match_state(self) -> "MatchState":
+        """Relation buckets and hash indexes for `find_homomorphisms`, built
+        once: the instance is immutable, so every search over it reuses them."""
+        return _build_match_state(self.facts)
+
 
 def active_domain(instance: Instance) -> FrozenSet[Value]:
     """Values occurring in some fact of the instance."""
@@ -337,12 +342,6 @@ def _term_value(t: Term, mapping: Mapping[Var, Value]) -> Optional[Value]:
 
 MatchState = Tuple[Dict[str, list], Dict[Tuple[str, int, Tuple[int, ...]], Dict[Tuple, list]]]
 
-# instances are immutable, so the relation buckets and hash indexes built
-# for matching can be reused across every search over the same instance
-_match_state_cache: "weakref.WeakKeyDictionary[Instance, MatchState]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def _build_match_state(facts: FrozenSet[Fact]) -> MatchState:
     by_rel: Dict[str, list] = {}
@@ -364,13 +363,9 @@ def find_homomorphisms(
     deterministic for fixed inputs.
     """
     if isinstance(target, Instance):
-        state = _match_state_cache.get(target)
-        if state is None:
-            state = _build_match_state(target.facts)
-            _match_state_cache[target] = state
+        by_rel, index = target._match_state
     else:
-        state = _build_match_state(frozenset(target))
-    by_rel, index = state
+        by_rel, index = _build_match_state(frozenset(target))
 
     remaining = list(atoms)
     base: Homomorphism = dict(seed) if seed else {}
@@ -493,13 +488,18 @@ def instance_hom_exists(source: Instance, target: Instance) -> bool:
 # semantic operations
 
 
-def eval_ucq(q: UCQ, instance: Instance):
-    """Evaluate a UCQ; Boolean queries give a bool, open ones answer tuples."""
+def check_query(q: UCQ, schema: Schema) -> None:
+    """Raise SchemaError unless every query atom names a declared relation
+    with its declared arity."""
     for d in q.disjuncts:
         for a in d.atoms:
-            decl = instance.schema.decl(a.relation)
-            if decl.arity != len(a.args):
+            if schema.decl(a.relation).arity != len(a.args):
                 raise SchemaError(f"arity mismatch for {a.relation} in query")
+
+
+def eval_ucq(q: UCQ, instance: Instance):
+    """Evaluate a UCQ; Boolean queries give a bool, open ones answer tuples."""
+    check_query(q, instance.schema)
     if not q.free_vars:
         for d in q.disjuncts:
             for _ in find_homomorphisms(d.atoms, instance):
@@ -528,9 +528,16 @@ def satisfies(c: ConstraintSet, instance: Instance) -> bool:
     return True
 
 
-def _head_satisfied(disjunct: HeadDisjunct, body_hom: Homomorphism, instance: Instance) -> bool:
+def head_matches(disjunct: HeadDisjunct, body_hom: Homomorphism,
+                 instance: Instance) -> Iterator[Homomorphism]:
+    """Matches of a head disjunct into the instance that agree with a body
+    match on every variable the disjunct does not quantify."""
     seed = {v: val for v, val in body_hom.items() if v not in disjunct.exist_vars}
-    for _ in find_homomorphisms(disjunct.atoms, instance, seed=seed):
+    return find_homomorphisms(disjunct.atoms, instance, seed=seed)
+
+
+def _head_satisfied(disjunct: HeadDisjunct, body_hom: Homomorphism, instance: Instance) -> bool:
+    for _ in head_matches(disjunct, body_hom, instance):
         return True
     return False
 

@@ -56,6 +56,7 @@ from .core import (
     eval_ucq,
     find_homomorphisms,
     fresh_name,
+    head_matches,
     normalize_single_head,
     satisfies,
     value_key,
@@ -772,8 +773,7 @@ def _largest_model(
         for h in find_homomorphisms(tgd.body, top):
             supports: List[Support] = []
             for disjunct in tgd.heads:
-                seed = {x: val for x, val in h.items() if x not in disjunct.exist_vars}
-                for g in find_homomorphisms(disjunct.atoms, top, seed=seed):
+                for g in head_matches(disjunct, h, top):
                     supports.append(apply_hom(disjunct.atoms, g))
             obligations.append((apply_hom(tgd.body, h)[0], supports))
     alive = _prune_unsupported(set(top.facts), obligations)

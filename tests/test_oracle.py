@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqi import oracle
 from dqi.core import (
+    CQ,
+    UCQ,
     Atom,
     CName,
     Const,
@@ -15,9 +18,11 @@ from dqi.core import (
     Instance,
     RelationDecl,
     Schema,
+    SchemaError,
     TGD,
     Var,
     boolean_ucq,
+    constant_names,
     eval_ucq,
     satisfies,
 )
@@ -25,14 +30,17 @@ from dqi.oracle import (
     BOUNDED,
     DomainBound,
     EXACT,
+    OracleAnswer,
     SearchSpaceTooLarge,
+    _models,
     enumerate_extensions,
+    enumerate_supersets,
     oracle_nqi,
     oracle_owq,
     oracle_pqi,
     oracle_realizable,
 )
-from dqi.problemgen import random_id_problem
+from dqi.problemgen import random_id_problem, random_linear_problem
 
 
 def toy():
@@ -155,3 +163,146 @@ def test_oracle_realizable_uses_constants_named_only_by_an_egd():
     assert r.answer is True and r.exactness == EXACT
     assert r.witness.facts_of("H") == (Fact("H", (Const("c"),)),)
 
+
+def test_query_oracles_check_the_query_against_the_schema_without_a_model():
+    # H is unary, so H(x, x) does not fit; the EGD leaves no completion
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
+    x = Var("x")
+    c = ConstraintSet((EGD((Atom("V", (x,)),), x, CName("z")),))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    q = boolean_ucq([Atom("H", (x, x))])
+    d = DomainBound(1, 4, 1e5)
+    for ask in (lambda: oracle_pqi(q, c, s, v, d), lambda: oracle_nqi(q, c, s, v, d),
+                lambda: oracle_owq(q, c, v, d)):
+        with pytest.raises(SchemaError):
+            ask()
+
+
+# ---------------------------------------------------------------------------
+# the oracles against the plain loop: build each candidate, then satisfies,
+# then eval_ucq
+
+
+def _reference(kind, q, c, s, v, d):
+    extra = tuple(map(Const, constant_names(c, None if kind == "realizable" else q)))
+    if kind == "owq":
+        candidates = enumerate_supersets(v, v.schema, d, extra)
+    else:
+        candidates = enumerate_extensions(v, s, d, extra)
+    for f in candidates:
+        if not satisfies(c, f):
+            continue
+        if kind == "realizable":
+            return OracleAnswer(True, EXACT, witness=f)
+        if (eval_ucq(q, f) is True) == (kind == "nqi"):
+            return OracleAnswer(False, EXACT, witness=f)
+    return OracleAnswer(kind != "realizable", BOUNDED)
+
+
+def _ask(kind, q, c, s, v, d):
+    if kind == "pqi":
+        return oracle_pqi(q, c, s, v, d)
+    if kind == "nqi":
+        return oracle_nqi(q, c, s, v, d)
+    if kind == "realizable":
+        return oracle_realizable(c, s, v, d)
+    return oracle_owq(q, c, v, d)
+
+
+def _outcome(call):
+    try:
+        r = call()
+    except SearchSpaceTooLarge as exc:
+        return ("too large", exc.size)
+    return (r.answer, r.exactness, r.witness)
+
+
+def _reference_problem(seed):
+    """A seeded ID, linear or disjunctive problem; every third carries an
+    EGD, half of those naming a constant; every other query is open."""
+    rng = random.Random(seed)
+    family = seed % 3
+    if family == 0:
+        q, c, s, v = random_id_problem(rng)
+    else:
+        q, c, s, v = random_linear_problem(rng, max_heads=family)
+    if seed % 3 == 1:
+        rel = rng.choice(s.relations)
+        args = tuple(Var(f"e{i}") for i in range(rel.arity))
+        right = CName("a") if rng.random() < 0.5 else args[-1]
+        c = ConstraintSet(c.dependencies + (EGD((Atom(rel.name, args),), args[0], right),))
+    if seed % 2:
+        cq = q.disjuncts[0]
+        free = cq.variables[:1]
+        q = UCQ((CQ(free, tuple(x for x in cq.variables if x not in free), cq.atoms),))
+    return q, c, s, v
+
+
+def test_oracles_agree_with_the_plain_loop():
+    seen = set()
+    for seed in range(150):
+        q, c, s, v = _reference_problem(seed)
+        d = DomainBound(extra_values=1, max_facts_total=len(v.facts) + 4, space_ceiling=5e3)
+        for kind in ("pqi", "nqi", "realizable", "owq"):
+            got = _outcome(lambda: _ask(kind, q, c, s, v, d))
+            want = _outcome(lambda: _reference(kind, q, c, s, v, d))
+            assert got == want, (seed, kind)
+            seen.add((kind, got[0], bool(q.free_vars)))
+    # every oracle answered both ways, on open and Boolean queries, and
+    # some spaces were over the ceiling
+    for kind in ("pqi", "nqi", "owq"):
+        for answer in (True, False):
+            for open_query in (False, True):
+                if not (kind == "nqi" and open_query and answer is False):
+                    assert (kind, answer, open_query) in seen, (kind, answer, open_query)
+    assert {("realizable", True, False), ("realizable", False, False)} <= seen
+    assert any(outcome == "too large" for _kind, outcome, _open in seen)
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the compiled check
+
+
+def test_size_check_fires_before_the_constraints_are_compiled(monkeypatch):
+    def no_compile(*args):
+        raise AssertionError("compiled a space over the ceiling")
+
+    monkeypatch.setattr(oracle, "_compile", no_compile)
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 3, False)))
+    x = Var("x")
+    c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("H", (x, x, x)),)),)),))
+    q = boolean_ucq([Atom("H", (x, x, x))])
+    v = Instance(s, frozenset({Fact("V", (Const(n),)) for n in "abcdefgh"}))
+    d = DomainBound(extra_values=4, max_facts_total=20, space_ceiling=1)
+    for ask in (lambda: oracle_pqi(q, c, s, v, d), lambda: oracle_nqi(q, c, s, v, d),
+                lambda: oracle_realizable(c, s, v, d), lambda: oracle_owq(q, c, v, d),
+                lambda: next(_models(c, v, s, d))):
+        with pytest.raises(SearchSpaceTooLarge):
+            ask()
+
+
+def test_a_trigger_in_the_base_without_any_support_rules_out_every_completion():
+    # W is visible, so no completion of V(a) can add the W(a) that V(a) needs
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 1, False)))
+    x = Var("x")
+    c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("W", (x,)),)),)),))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    assert oracle_realizable(c, s, v, DomainBound(1, 4, 1e5)) == OracleAnswer(False, BOUNDED)
+
+
+def test_an_egd_clash_on_two_pool_facts_rules_out_every_candidate_holding_both():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
+    x, y = Var("x"), Var("y")
+    c = ConstraintSet((EGD((Atom("H", (x,)), Atom("H", (y,))), x, y),))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    models = list(_models(c, v, s, DomainBound(1, 4, 1e5)))
+    assert [m.facts_of("H") for m in models] == [
+        (), (Fact("H", (Const("!w0"),)),), (Fact("H", (Const("a"),)),)]
+
+
+def test_pqi_holds_when_the_base_already_satisfies_the_query():
+    q, c, s = toy()
+    v = Instance(s, frozenset({Fact("R", (Const("a"),))}))
+    q_visible = boolean_ucq([Atom("R", (Var("x"),))])
+    assert oracle_pqi(q_visible, c, s, v, DomainBound(1, 8, 1e5)) == OracleAnswer(True, BOUNDED)
