@@ -24,7 +24,9 @@ The classical and critical chases run the same single-branch loop,
 
 Plus fact types for constant-free linear TGDs: a relation with the
 equality pattern of its values, kept canonical by `canon_pattern` and
-enumerated by `_patterns`.  `_bind` matches an atom against a type,
+enumerated by `_patterns`; these and the term binder `bind_pattern` also
+serve `gfp`'s selected-attribute copies, whose patterns hold named
+constants.  `_bind` matches an atom against a type,
 `_apply_linear` applies one TGD to it, and one breadth-first loop,
 `_reach`, saturates a set of types.  `fact_type_closure` runs that loop
 from the critical instance over collapse-stable types, which decides
@@ -39,7 +41,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+                    Tuple, Union)
 
 from .core import (
     Atom,
@@ -425,33 +427,61 @@ def visible_chase(
 
 
 # ---------------------------------------------------------------------------
+# equality patterns
+#
+# A pattern abstracts a tuple by which positions hold equal values and
+# which hold a constant.  Each entry is a constant -- `A_MARK`, the
+# distinguished value `a` of the critical instance, or the `CName` of a
+# named constant -- or a group number (equal numbers mean equal values).
+# Groups are canonically renumbered 1, 2, ... in order of first occurrence.
+# Fact types below and the selected-attribute copies of `gfp` share it.
+
+A_MARK = 0
+Pattern = Tuple[Union[int, CName], ...]
+
+
+def canon_pattern(entries: Sequence[Hashable]) -> Pattern:
+    """Renumber the group labels of a pattern 1, 2, ... by first occurrence.
+
+    `A_MARK` and `CName` entries are constants; any other hashable is a
+    group label, so a fact's values or an atom's terms give their pattern."""
+    ren: Dict[Hashable, int] = {}
+    return tuple(e if e == A_MARK or isinstance(e, CName) else ren.setdefault(e, len(ren) + 1)
+                 for e in entries)
+
+
+def _patterns(arity: int, constants: Sequence[Hashable] = (A_MARK,)) -> List[Pattern]:
+    """All canonical patterns of a given arity over a constant pool, in
+    lexicographic order: each entry is a constant or a group at most one
+    above the largest before it."""
+    level: List[Tuple[Pattern, int]] = [((), 0)]  # each with its largest group
+    for _ in range(arity):
+        level = [(p + (e,), top + (e == top + 1))
+                 for p, top in level for e in (*constants, *range(1, top + 2))]
+    return [p for p, _ in level]
+
+
+def bind_pattern(terms: Sequence[Union[Var, CName]], pattern: Pattern) -> Optional[Dict[Var, Hashable]]:
+    """Bind each variable of `terms` to the pattern entry at its positions.
+
+    A variable may meet only one entry, and a constant term only its own
+    `CName` entry; otherwise None."""
+    bound: Dict[Var, Hashable] = {}
+    for t, e in zip(terms, pattern):
+        if isinstance(t, CName):
+            if t != e:
+                return None
+        elif bound.setdefault(t, e) != e:
+            return None
+    return bound
+
+
+# ---------------------------------------------------------------------------
 # fact types for linear constraint sets
 #
 # A fact type abstracts a fact of the critical-instance chase: a relation
-# plus a pattern assigning each position either the distinguished constant
-# `a` or a numbered null group (equal numbers mean equal nulls).  `A`
-# denotes the constant; groups are canonically renumbered 1, 2, ... in
-# order of first occurrence.
-
-A_MARK = 0
-
-
-def canon_pattern(entries: Sequence[Hashable]) -> Tuple[int, ...]:
-    """Renumber the group labels of a pattern 1, 2, ... by first occurrence.
-
-    Any hashable other than `A_MARK` is a group label, so a fact's values
-    give the pattern of the fact."""
-    ren: Dict[Hashable, int] = {}
-    return tuple(A_MARK if e == A_MARK else ren.setdefault(e, len(ren) + 1) for e in entries)
-
-
-def _patterns(arity: int) -> List[Tuple[int, ...]]:
-    """All canonical patterns of a given arity, in lexicographic order: each
-    entry is `a` or a group at most one above the largest before it."""
-    pats: List[Tuple[int, ...]] = [()]
-    for _ in range(arity):
-        pats = [p + (e,) for p in pats for e in range(max(p, default=A_MARK) + 2)]
-    return pats
+# plus the constant-free pattern of its values, where `A_MARK` stands for
+# the constant `a` and each null group for equal nulls.
 
 
 @dataclass(frozen=True)
@@ -493,15 +523,11 @@ def _linear_tgds(c: ConstraintSet) -> List[Tuple[int, TGD]]:
 
 
 def _bind(atom: Atom, t: FactType) -> Optional[Dict[Var, int]]:
-    """Bind the variables of a constant-free atom to the entries of a fact
-    type, or None when the relation or the equalities disagree."""
+    """Bind the variables of an atom to the entries of a fact type, or None
+    when the relation or the equalities disagree."""
     if atom.relation != t.relation:
         return None
-    assign: Dict[Var, int] = {}
-    for var, entry in zip(atom.args, t.pattern):
-        if assign.setdefault(var, entry) != entry:  # type: ignore[arg-type]
-            return None
-    return assign
+    return bind_pattern(atom.args, t.pattern)  # type: ignore[return-value]
 
 
 def _apply_linear(dep: TGD, t: FactType) -> Optional[Tuple[FactType, Tuple[Tuple[int, int], ...]]]:

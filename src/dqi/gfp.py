@@ -8,7 +8,8 @@ polynomial data time.  The pipeline has three stages:
    the active domain of the visible instance (plus the constants mentioned
    in the input).  Hidden relations are split into copies ``R[I,u]`` that
    record which attribute positions hold active-domain values (``I``) and
-   the equality pattern ``u`` of the remaining positions.
+   the equality pattern ``u`` of the remaining positions, in the pattern
+   encoding of ``chase`` with the named constants as its constants.
 2. ``build_gfp_program`` compiles the (controllable) problem into a Datalog
    program whose rules gate every hidden tuple on the active domain and on
    the heads of the constraints it must satisfy.
@@ -66,77 +67,12 @@ from .core import (
     ID_TAG,
     LINEAR_TAG,
 )
+from .chase import Pattern, _patterns, bind_pattern, canon_pattern
 from .textio import _fo_atom
 
-# ---------------------------------------------------------------------------
-# equality patterns
-#
-# A pattern entry is either ("v", k) -- the k-th pattern variable -- or
-# ("c", name) -- a named constant.  Patterns are kept canonical: variable
-# indices are assigned by first occurrence, starting at 0.
-
-Entry = Tuple[str, object]
-Pattern = Tuple[Entry, ...]
-
-
-def _canon(entries: Sequence[Entry]) -> Pattern:
-    """Renumber pattern variables by first occurrence."""
-    order: Dict[object, int] = {}
-    out: List[Entry] = []
-    for e in entries:
-        if e[0] == "c":
-            out.append(e)
-        else:
-            if e[1] not in order:
-                order[e[1]] = len(order)
-            out.append(("v", order[e[1]]))
-    return tuple(out)
-
-
-def pattern_of_terms(terms: Sequence[Union[Var, CName]]) -> Pattern:
-    """The canonical equality pattern of a term sequence."""
-    return _canon(
-        [("c", t.name) if isinstance(t, CName) else ("v", t) for t in terms]
-    )
-
-
-def canonical_patterns(n: int, constants: Sequence[str]) -> List[Pattern]:
-    """All canonical equality patterns of length n over the constant pool."""
-    consts = sorted(set(constants))
-    out: List[Pattern] = []
-
-    def rec(prefix: List[Entry], used_vars: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for k in range(used_vars):
-            rec(prefix + [("v", k)], used_vars)
-        rec(prefix + [("v", used_vars)], used_vars + 1)
-        for c in consts:
-            rec(prefix + [("c", c)], used_vars)
-
-    rec([], 0)
-    return out
-
-
-def pattern_var_count(p: Pattern) -> int:
-    return len({e[1] for e in p if e[0] == "v"})
-
-
-def _bind_pattern(terms: Sequence[Union[Var, CName]], pattern: Pattern) -> Optional[Dict[Var, Entry]]:
-    """Bind each variable of `terms` to the pattern entry at its positions.
-
-    A variable may meet only one entry, and a constant only ``("c", its
-    name)``; otherwise None."""
-    bound: Dict[Var, Entry] = {}
-    for t, e in zip(terms, pattern):
-        if isinstance(t, CName):
-            if e != ("c", t.name):
-                return None
-        elif bound.setdefault(t, e) != e:
-            return None
-    return bound
-
+# size limits of the selected-attribute transform
+MAX_COPIES = 20000
+MAX_CONSTRAINTS = 200000
 
 # ---------------------------------------------------------------------------
 # hidden-relation copies
@@ -160,7 +96,8 @@ class CopyRelation:
 
 
 class TransformTooLarge(ClassError):
-    """The selected-attribute transform would exceed the configured size."""
+    """The selected-attribute transform would exceed `MAX_COPIES` or
+    `MAX_CONSTRAINTS`."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +123,7 @@ class AdomTransform:
         k = max((r.arity for r in self.source_schema.relations), default=0)
         taken = {v.name for v in avoid if isinstance(v, Const)}
         taken.update(
-            e[1] for cp in self.copies for e in cp.pattern if e[0] == "c"
+            e.name for cp in self.copies for e in cp.pattern if isinstance(e, CName)
         )
         pool: List[Const] = []
         i = 0
@@ -200,7 +137,7 @@ class AdomTransform:
     def reconstruct(self, transformed: Instance) -> Instance:
         """Map an instance over the transformed schema back to the source
         schema, re-inflating every copy fact with all injective assignments
-        of its pattern variables to fresh constants."""
+        of its pattern groups to fresh constants."""
         pool = self.fresh_pool(active_domain(transformed))
         by_name = self.copy_by_name
         facts: Set[Fact] = set()
@@ -212,13 +149,13 @@ class AdomTransform:
             copy = by_name.get(f.relation)
             if copy is None:
                 continue
-            nvars = pattern_var_count(copy.pattern)
-            for combo in itertools.permutations(pool, nvars):
+            groups = {e for e in copy.pattern if not isinstance(e, CName)}
+            for combo in itertools.permutations(pool, len(groups)):
                 args: List[Optional[Value]] = [None] * copy.source_arity
                 for pos, v in zip(copy.selected, f.args):
                     args[pos] = v
                 for pos, e in zip(copy.dropped, copy.pattern):
-                    args[pos] = Const(e[1]) if e[0] == "c" else combo[e[1]]
+                    args[pos] = Const(e.name) if isinstance(e, CName) else combo[e - 1]
                 facts.add(Fact(copy.source, tuple(args)))  # type: ignore[arg-type]
         return Instance(self.source_schema, frozenset(facts))
 
@@ -244,21 +181,21 @@ def _unify_dropped(
 
     Returns a substitution for the atom's variables, or None when no sound
     translation exists.  A variable on a constant entry becomes that
-    constant; variables sharing a pattern variable all become the first of
+    constant; variables sharing a pattern group all become the first of
     them.
     Soundness requirement: every fact admitted by the pattern and matching
     the selected positions must satisfy the original atom, so each term's
     dropped occurrences must pin down a single entry, constants must appear
     literally, and a variable cannot live on both sides of the split.
     """
-    entry_of = _bind_pattern(terms, pattern)
+    entry_of = bind_pattern(terms, pattern)
     if entry_of is None:
         return None
     subst: Dict[Var, Union[Var, CName]] = {}
-    rep_for_entry: Dict[Entry, Var] = {}
+    rep_for_entry: Dict[int, Var] = {}
     for t, e in entry_of.items():
-        if e[0] == "c":
-            subst[t] = CName(e[1])
+        if isinstance(e, CName):
+            subst[t] = e
         else:
             if t in selected_vars:
                 return None
@@ -274,13 +211,7 @@ def _apply_subst(atom: Atom, subst: Mapping[Var, Union[Var, CName]]) -> Atom:
     )
 
 
-def transform_adom(
-    q: UCQ,
-    c: ConstraintSet,
-    s: Schema,
-    max_copies: int = 20000,
-    max_constraints: int = 200000,
-) -> AdomTransform:
+def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     """Rewrite a linear-TGD problem into an equivalent one whose negative
     query implication always has an active-domain counterexample when it has
     any counterexample at all."""
@@ -288,7 +219,7 @@ def transform_adom(
     if q.free_vars:
         raise ClassError("the transform expects a Boolean query")
     c, s = normalize_single_head(c, s)
-    pool = constant_names(c, q)
+    pool = tuple(map(CName, constant_names(c, q)))
     taken = set(s.by_name)
 
     # copies of every hidden relation, one per (selected set, pattern)
@@ -301,7 +232,7 @@ def transform_adom(
         positions = list(range(rel.arity))
         for r in range(rel.arity, -1, -1):
             for sel in itertools.combinations(positions, r):
-                for pat in canonical_patterns(rel.arity - len(sel), pool):
+                for pat in _patterns(rel.arity - len(sel), pool):
                     name = fresh_name(f"{rel.name}_c{idx}", taken)
                     idx += 1
                     cp = CopyRelation(rel.name, rel.arity, sel, pat, name)
@@ -309,7 +240,7 @@ def transform_adom(
                     copy_at[(rel.name, sel, pat)] = cp
         copies.extend(per_rel)
         copies_of[rel.name] = per_rel
-        if len(copies) > max_copies:
+        if len(copies) > MAX_COPIES:
             raise TransformTooLarge(
                 f"too many relation copies ({len(copies)}); "
                 "lower the hidden arities or constant count"
@@ -363,7 +294,7 @@ def transform_adom(
                     and (t in selected_vars or t in kept_exist)
                 )
                 dropped = [z[j] for j in range(len(z)) if j not in set(keep)]
-                target = copy_at[(head_atom.relation, keep, pattern_of_terms(dropped))]
+                target = copy_at[(head_atom.relation, keep, canon_pattern(dropped))]
                 atom = Atom(target.name, tuple(z[j] for j in keep))
                 disjunct = HeadDisjunct(
                     tuple(v for v in kept_exist if any(t == v for t in atom.args)),
@@ -399,7 +330,7 @@ def transform_adom(
                 forced_empty.append(new_body)
                 continue
             deps.append(TGD((new_body,), tuple(disjuncts)))
-            if len(deps) > max_constraints:
+            if len(deps) > MAX_CONSTRAINTS:
                 raise TransformTooLarge("too many translated constraints")
 
     # translate each query disjunct once per compatible choice of copies
@@ -414,13 +345,13 @@ def transform_adom(
             else:
                 for cp in copies_of[a.relation]:
                     sel_terms = tuple(a.args[i] for i in cp.selected)
-                    entry_of = _bind_pattern(tuple(a.args[i] for i in cp.dropped), cp.pattern)
+                    entry_of = bind_pattern(tuple(a.args[i] for i in cp.dropped), cp.pattern)
                     if entry_of is None:
                         continue
                     marks: Dict[Var, object] = {t: "sel" for t in sel_terms if isinstance(t, Var)}
                     if any(t in marks for t in entry_of):
                         continue  # split within one atom
-                    marks.update((t, e if e[0] == "c" else "pat") for t, e in entry_of.items())
+                    marks.update((t, e if isinstance(e, CName) else "pat") for t, e in entry_of.items())
                     opts.append((Atom(cp.name, sel_terms), marks))
             choices_per_atom.append(opts)
         for combo in itertools.product(*choices_per_atom):
@@ -428,33 +359,15 @@ def transform_adom(
             # kept (joins survive) or dropped in all of them; a constant
             # binding must agree everywhere
             global_marks: Dict[Var, object] = {}
-            ok = True
-            for _, marks in combo:
-                for v, m in marks.items():
-                    prev = global_marks.get(v)
-                    if prev is None:
-                        global_marks[v] = m
-                    elif prev == m:
-                        continue
-                    elif prev == "pat" and m == "pat":
-                        continue
-                    else:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if not all(global_marks.setdefault(v, m) == m
+                       for _, marks in combo for v, m in marks.items()):
                 continue
-            subst: Dict[Var, CName] = {
-                v: CName(m[1])
-                for v, m in global_marks.items()
-                if isinstance(m, tuple)
-            }
+            subst = {v: m for v, m in global_marks.items() if isinstance(m, CName)}
             atoms = tuple(_apply_subst(a, subst) for a, _ in combo)
             cq = boolean_cq(atoms)
             if cq not in new_disjuncts:
                 new_disjuncts.append(cq)
-            if len(new_disjuncts) > max_constraints:
+            if len(new_disjuncts) > MAX_CONSTRAINTS:
                 raise TransformTooLarge("too many translated query disjuncts")
 
     # the all-kept choice always survives validation, so the union is never empty
@@ -574,20 +487,20 @@ def build_gfp_program(
         tgds_by_rel.setdefault(t.body[0].relation, []).append(t)
     exist_counter = itertools.count(1)
     for rel in s.hidden_relations:
-        shapes: List[Pattern] = [tuple(("v", i) for i in range(rel.arity))]  # generic shape
+        shapes: List[Pattern] = [tuple(range(1, rel.arity + 1))]  # generic shape
         for t in tgds_by_rel.get(rel.name, ()):
-            pat = pattern_of_terms(t.body[0].args)
+            pat = canon_pattern(t.body[0].args)
             if pat not in shapes:
                 shapes.append(pat)
         for shape in shapes:
-            arg_of: Dict[Entry, Union[Var, CName]] = {
-                e: CName(e[1]) if e[0] == "c" else Var(f"w{e[1]}") for e in shape
+            arg_of: Dict[object, Union[Var, CName]] = {
+                e: e if isinstance(e, CName) else Var(f"w{e - 1}") for e in shape
             }
             head = Atom(rel.name, tuple(arg_of[e] for e in shape))
             body = [Atom(a_name, (t,)) for t in arg_of.values()]
             for t in tgds_by_rel.get(rel.name, ()):
                 # does every tuple of this shape trigger the constraint?
-                bound = _bind_pattern(t.body[0].args, shape)
+                bound = bind_pattern(t.body[0].args, shape)
                 if bound is None:
                     continue
                 m = {v: arg_of[e] for v, e in bound.items()}

@@ -221,15 +221,13 @@ def oracle_pqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, d: DomainBound)
     return OracleAnswer(True, BOUNDED)
 
 
-def oracle_nqi(
-    q: UCQ, c: ConstraintSet, s: Schema, v: Instance, d: DomainBound, exact_for_class: bool = False
-) -> OracleAnswer:
+def oracle_nqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, d: DomainBound) -> OracleAnswer:
     """Does every bounded completion of v satisfying c falsify q?"""
     check_query(q, s)
     space = _extension_space(v, s, d, tuple(map(Const, constant_names(c, q))))
     for f in _search(c, q, True, *space, d):
         return OracleAnswer(False, EXACT, witness=f)
-    return OracleAnswer(True, EXACT if exact_for_class else BOUNDED)
+    return OracleAnswer(True, BOUNDED)
 
 
 def oracle_realizable(c: ConstraintSet, s: Schema, v: Instance, d: DomainBound) -> OracleAnswer:

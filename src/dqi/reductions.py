@@ -105,9 +105,13 @@ def _adom_names(values) -> Set[str]:
 
 
 def _fresh_var(base: str, taken: Set[Var]) -> Var:
+    """`base`, or `base_1`, `base_2`, ... if taken: a lowercase name, which
+    the text format reads back as a variable."""
     v = Var(base)
+    k = 0
     while v in taken:
-        v = Var("_" + v.name)
+        k += 1
+        v = Var(f"{base}_{k}")
     taken.add(v)
     return v
 

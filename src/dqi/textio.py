@@ -168,7 +168,7 @@ def parse(text: str) -> ProblemFile:
     schema = Schema(())
     deps: List[Dependency] = []
     queries: Dict[str, UCQ] = {}
-    raw_instances: List[Tuple[str, List[Tuple[str, List[Value], _Tok]]]] = []
+    raw_instances: Dict[str, List[Tuple[str, List[Value], _Tok]]] = {}
     seen_schema = False
     while p.peek() is not None:
         kw = p.next()
@@ -186,16 +186,16 @@ def parse(text: str) -> ProblemFile:
             queries[name] = _parse_query(p)
         elif kw.text == "instance":
             name = p.next().text
-            raw_instances.append((name, _parse_instance_block(p)))
+            if name in raw_instances:
+                raise ParseError(f"duplicate instance {name}", kw.line, kw.col)
+            raw_instances[name] = _parse_instance_block(p)
         else:
             raise ParseError(f"unknown section {kw.text!r}", kw.line, kw.col)
     _check_constraints(schema, deps)
     for q in queries.values():
         _check_query(schema, q)
     instances: Dict[str, Instance] = {}
-    for name, raw in raw_instances:
-        if name in instances:
-            raise ParseError(f"duplicate instance {name}", 0, 0)
+    for name, raw in raw_instances.items():
         facts = set()
         for rel, args, tok in raw:
             decl = schema.by_name.get(rel)
@@ -258,19 +258,25 @@ def _parse_conjunction(p: _Parser) -> List[Atom]:
     return atoms
 
 
-def _parse_head_disjunct(p: _Parser) -> HeadDisjunct:
+def _parse_binders(p: _Parser) -> List[Var]:
+    """The variables of an optional `exists v1, ..., vk.` prefix."""
     exist: List[Var] = []
     if p.at("exists"):
         p.next()
         while True:
             t = p.next()
+            if t.kind != "name" or not _LOWER_NAME.match(t.text):
+                raise ParseError(f"expected a variable, found {t.text!r}", t.line, t.col)
             exist.append(Var(t.text))
-            if p.at(","):
-                p.next()
-                continue
-            break
+            if not p.at(","):
+                break
+            p.next()
         p.expect(".")
-    return HeadDisjunct(tuple(exist), tuple(_parse_conjunction(p)))
+    return exist
+
+
+def _parse_head_disjunct(p: _Parser) -> HeadDisjunct:
+    return HeadDisjunct(tuple(_parse_binders(p)), tuple(_parse_conjunction(p)))
 
 
 def _parse_constraints(p: _Parser) -> List[Dependency]:
@@ -306,16 +312,7 @@ def _parse_query(p: _Parser) -> UCQ:
     p.expect("{")
     disjuncts: List[CQ] = []
     while True:
-        exist: List[Var] = []
-        if p.at("exists"):
-            p.next()
-            while True:
-                exist.append(Var(p.next().text))
-                if p.at(","):
-                    p.next()
-                    continue
-                break
-            p.expect(".")
+        exist = _parse_binders(p)
         atoms = _parse_conjunction(p)
         free: List[Var] = []
         for a in atoms:
@@ -390,9 +387,15 @@ def _check_query(schema: Schema, q: UCQ) -> None:
 # serialization
 
 
+def _var_text(v: Var) -> str:
+    if not _LOWER_NAME.match(v.name):
+        raise ValueError(f"variable {v.name!r} would read back as a constant")
+    return v.name
+
+
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
-        return t.name
+        return _var_text(t)
     return _const_text(t.name)
 
 
@@ -416,28 +419,24 @@ def _conj_text(atoms: Sequence[Atom]) -> str:
     return " & ".join(_atom_text(a) for a in atoms)
 
 
-def _head_text(h: HeadDisjunct) -> str:
+def _exists_text(exist_vars: Sequence[Var], atoms: Sequence[Atom]) -> str:
     prefix = ""
-    if h.exist_vars:
-        prefix = "exists " + ", ".join(v.name for v in h.exist_vars) + ". "
-    return prefix + _conj_text(h.atoms)
+    if exist_vars:
+        prefix = "exists " + ", ".join(map(_var_text, exist_vars)) + ". "
+    return prefix + _conj_text(atoms)
 
 
 def _dep_text(d: Dependency) -> str:
     if isinstance(d, EGD):
         return f"{_conj_text(d.body)} -> {_term_text(d.left)} = {_term_text(d.right)}"
-    return f"{_conj_text(d.body)} -> " + " | ".join(_head_text(h) for h in d.heads)
-
-
-def _cq_text(d: CQ) -> str:
-    prefix = ""
-    if d.exist_vars:
-        prefix = "exists " + ", ".join(v.name for v in d.exist_vars) + ". "
-    return prefix + _conj_text(d.atoms)
+    return f"{_conj_text(d.body)} -> " + " | ".join(_exists_text(h.exist_vars, h.atoms) for h in d.heads)
 
 
 def serialize(p: ProblemFile) -> str:
-    """Deterministic text form; `parse(serialize(p))` reproduces `p`."""
+    """Deterministic text form; `parse(serialize(p))` reproduces `p`.
+
+    Raises ValueError on a variable whose name would read back as a
+    constant."""
     lines = [HEADER, "schema {"]
     for r in p.schema.relations:
         vis = "visible" if r.visible else "hidden"
@@ -449,7 +448,7 @@ def serialize(p: ProblemFile) -> str:
     lines.append("}")
     for name in sorted(p.queries):
         q = p.queries[name]
-        body = "\n    | ".join(_cq_text(d) for d in q.disjuncts)
+        body = "\n    | ".join(_exists_text(d.exist_vars, d.atoms) for d in q.disjuncts)
         lines.append(f"query {name} {{ {body} }}")
     for name in sorted(p.instances):
         inst = p.instances[name]

@@ -1,9 +1,11 @@
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqi.chase import (
+    A_MARK,
     BUDGET,
     BUDGET_CUT,
     ChaseBudget,
@@ -21,6 +23,7 @@ from dqi.chase import (
 )
 from dqi.core import (
     Atom,
+    CName,
     Const,
     ConstraintSet,
     EGD,
@@ -402,12 +405,20 @@ def test_visible_chase_trace_labels_a_step_with_no_grounding():
 
 
 def test_patterns_enumerates_each_canonical_pattern_once():
-    # a pattern of n positions is a set partition of the n positions plus
-    # the constant, so there are Bell(n + 1) of them
-    for n, bell in enumerate((1, 2, 5, 15, 52, 203)):
-        pats = list(_patterns(n))
-        assert len(pats) == bell and len(set(pats)) == bell
-        assert all(len(p) == n and canon_pattern(p) == p for p in pats)
+    # a pattern of n positions gives n - m of them one of the k constants
+    # and splits the other m into groups, one of Bell(m) set partitions
+    bell = (1, 1, 2, 5, 15, 52)
+    for constants in ((), (A_MARK,), (CName("k"), CName("m"))):
+        k = len(constants)
+        for n in range(6):
+            pats = _patterns(n, constants)
+            count = sum(math.comb(n, m) * k ** (n - m) * bell[m] for m in range(n + 1))
+            assert len(pats) == count and len(set(pats)) == count
+            assert all(len(p) == n and canon_pattern(p) == p for p in pats)
+            assert all(e in constants or e >= 1 for p in pats for e in p)
+    # the default pool is the critical value alone: Bell(n + 1) patterns
+    for n, bell_next in enumerate((1, 2, 5, 15, 52, 203)):
+        assert _patterns(n) == _patterns(n, (A_MARK,)) and len(_patterns(n)) == bell_next
 
 
 def test_decide_owq_atomic_linear_agrees_with_the_saturated_chase():

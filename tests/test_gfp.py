@@ -240,3 +240,22 @@ def test_program_text_escapes_a_quoted_constant():
     text = program_text(build_gfp_program(q, c, s))
     assert 'A("a\\"b").' in text.splitlines()
     assert 'H("a\\"b") :- A("a\\"b"), R("a\\"b").' in text.splitlines()
+
+
+def test_program_text_names_shape_variables_from_w0():
+    # one rule for the generic shape, one for the shape of the body
+    # H(x, x, "k"): groups print as w0, w1, ..., constants stay quoted
+    s = Schema((RelationDecl("R", 1, True), RelationDecl("H", 3, False)))
+    x = Var("x")
+    c = ConstraintSet((
+        TGD((Atom("H", (x, x, CName("k"))),), (HeadDisjunct((), (Atom("R", (x,)),)),)),
+    ))
+    q = boolean_ucq([Atom("H", (x, x, x))])
+    lines = program_text(build_gfp_program(q, c, s)).splitlines()
+    assert lines[3:] == [
+        "A(x0) :- R(x0).",
+        'A("k").',
+        "H(w0, w1, w2) :- A(w0), A(w1), A(w2).",
+        'H(w0, w0, "k") :- A(w0), A("k"), R(w0).',
+        "Goal() :- H(x, x, x).",
+    ]

@@ -28,6 +28,7 @@ from dqi.reductions import (
     realizability_to_nqi,
     ucq_to_cq,
 )
+from dqi.textio import ProblemFile, parse, serialize
 
 
 def pqi_problem(seed, disjuncts=2):
@@ -148,6 +149,38 @@ def test_exists_nqi_to_owq_requires_connected_bodies():
     q = random_boolean_query(rng, s)
     with pytest.raises(ClassError):
         exists_nqi_to_owq(q, disconnected, s)
+
+
+# ---------------------------------------------------------------------------
+# variables a reduction invents survive the text format
+
+_COLLIDING = """dqi-1
+schema { visible V/3; hidden H/2; }
+constraints {
+  V(tv, w, tv0) -> H(tv, w);
+  V(tv0, tv1, e0_y) -> exists y. H(y, e0_y) | H(tv1, tv0);
+}
+query Q { exists w, tv. H(w, tv) }
+instance I { V(a, b, a). }
+"""
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda p: ucq_to_cq(ProblemInstance(PQI, p.constraints, p.schema, query=p.queries["Q"],
+                                        instance=p.instances["I"])),
+    lambda p: pqi_to_nqi(ProblemInstance(PQI, p.constraints, p.schema, query=p.queries["Q"],
+                                         instance=p.instances["I"]), connected=True),
+    lambda p: disj_to_constants(ProblemInstance(EXISTS_PQI, p.constraints, p.schema,
+                                                query=p.queries["Q"])),
+], ids=["ucq2cq", "pqi2nqi-connected", "disj2const"])
+def test_reduced_problem_round_trips_through_the_text_format(reduce):
+    out = reduce(parse(_COLLIDING))
+    queries = {"Q": out.query}
+    instances = {} if out.instance is None else {"V": out.instance}
+    again = parse(serialize(ProblemFile(out.schema, out.constraints, queries, instances)))
+    assert again.constraints == out.constraints
+    assert again.queries == queries
+    assert again.instances == instances
 
 
 # ---------------------------------------------------------------------------

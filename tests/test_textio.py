@@ -4,7 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqi.core import CName, Const, SchemaError
+from dqi.core import (
+    Atom,
+    CName,
+    CQ,
+    Const,
+    ConstraintSet,
+    HeadDisjunct,
+    RelationDecl,
+    Schema,
+    SchemaError,
+    TGD,
+    UCQ,
+    Var,
+)
 from dqi.problemgen import (
     random_boolean_query,
     random_linear_constraints,
@@ -109,3 +122,32 @@ def test_emit_gnfo_mentions_schema_and_polarity():
                        pf.instances["Vsmith"])
     assert "Patient" in text_p and "Appointment" in text_p
     assert text_p != text_n
+
+
+@pytest.mark.parametrize("text, where", [
+    ("query Q { exists X. H(X) }", (3, 18)),
+    ("query Q { exists ;. H(x) }", (3, 18)),
+    ("constraints { V(x) -> exists x, Y. H(Y); }", (3, 33)),
+])
+def test_parse_rejects_a_binder_that_is_not_a_variable(text, where):
+    with pytest.raises(ParseError) as err:
+        parse("dqi-1\nschema { visible V/1; hidden H/1; }\n" + text + "\n")
+    assert (err.value.line, err.value.col) == where
+
+
+def test_serialize_refuses_a_variable_that_reads_back_as_a_constant():
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
+    for x in (Var("_tv"), Var("X")):
+        c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("H", (x,)),)),)),))
+        with pytest.raises(ValueError):
+            serialize(ProblemFile(s, c))
+        q = UCQ((CQ((), (x,), (Atom("H", (x,)),)),))
+        with pytest.raises(ValueError):
+            serialize(ProblemFile(s, ConstraintSet(()), {"Q": q}))
+
+
+def test_parse_reports_the_position_of_a_duplicate_instance():
+    with pytest.raises(ParseError) as err:
+        parse("dqi-1\nschema { visible V/1; }\ninstance I { V(a). }\n  instance I { V(b). }\n")
+    assert (err.value.line, err.value.col) == (4, 3)
+    assert "duplicate instance I" in str(err.value)
