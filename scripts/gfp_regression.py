@@ -28,7 +28,7 @@ def main() -> int:
         gen = random_id_problem if seed % 2 else random_linear_problem
         q, c, s, v = gen(rng)
         try:
-            ans, witness = nqi_gfp_detail(q, c, s, v)
+            ans, witness, _ = nqi_gfp_detail(q, c, s, v)
         except ClassError:
             skipped += 1
             continue

@@ -51,7 +51,6 @@ from .core import (
     ConstraintSet,
     ClassError,
     Dependency,
-    EGD,
     Fact,
     Homomorphism,
     Instance,
@@ -64,11 +63,13 @@ from .core import (
     Var,
     CONST_TAG,
     DISJ_TAG,
+    EGD_TAG,
+    LINEAR_TAG,
+    NONATOMIC_HEAD_TAG,
     _head_satisfied,
     _term_value,
     active_domain,
     apply_hom,
-    classify,
     critical_instance,
     find_homomorphisms,
     map_instance,
@@ -151,10 +152,6 @@ def _vname(v: Value) -> str:
     return v.name if isinstance(v, Const) else f"?{v.id}"
 
 
-def _hom_key(dep_idx: int, hom: Mapping[Var, Value]) -> Tuple:
-    return (dep_idx, tuple(sorted(((v.name, val) for v, val in hom.items()), key=lambda p: (p[0], value_key(p[1])))))
-
-
 class _Triggers:
     """FIFO queue of (dependency, body homomorphism) pairs for one branch."""
 
@@ -166,7 +163,7 @@ class _Triggers:
     def discover(self, deps: Sequence[Dependency], instance: Instance) -> None:
         for idx, dep in enumerate(deps):
             for hom in find_homomorphisms(dep.body, instance):
-                key = _hom_key(idx, hom)
+                key = (idx, frozenset(hom.items()))
                 if key not in self.seen:
                     self.seen.add(key)
                     self.pending.append((idx, hom))
@@ -192,15 +189,8 @@ class _Triggers:
         for idx, hom in self.pending:
             hom2 = {v: value_map.get(val, val) for v, val in hom.items()}
             pending.append((idx, hom2))
-        for key in self.seen:
-            idx, items = key
-            items2 = tuple(
-                sorted(
-                    ((name, value_map.get(val, val)) for name, val in items),
-                    key=lambda p: (p[0], value_key(p[1])),
-                )
-            )
-            seen.add((idx, items2))
+        for idx, items in self.seen:
+            seen.add((idx, frozenset((v, value_map.get(val, val)) for v, val in items)))
         return _Triggers(pending, seen)
 
 
@@ -271,10 +261,9 @@ def chase_vis_critical(c: ConstraintSet, s: Schema, a: Const, b: ChaseBudget) ->
     grounding choice is forced (the visible active domain is `{a}`) and
     no EGD can clash two distinct constants.
     """
-    tags = classify(c, s)
-    if CONST_TAG in tags:
+    if CONST_TAG in c.tags:
         raise ClassError("critical-instance chase requires constant-free constraints")
-    if DISJ_TAG in tags:
+    if DISJ_TAG in c.tags:
         raise ClassError("critical-instance chase requires non-disjunctive heads")
 
     def ground(new_facts: Sequence[Fact]) -> Dict[Value, Value]:
@@ -509,17 +498,14 @@ class TypeEdge:
 
 
 def _linear_tgds(c: ConstraintSet) -> List[Tuple[int, TGD]]:
-    out = []
-    for idx, dep in enumerate(c.dependencies):
-        if isinstance(dep, EGD):
-            raise ClassError("fact types require TGD-only constraint sets")
-        if len(dep.body) != 1 or len(dep.heads) != 1 or len(dep.heads[0].atoms) != 1:
-            raise ClassError("fact types require linear single-head TGDs")
-        for atom in (dep.body[0], dep.heads[0].atoms[0]):
-            if any(isinstance(t, CName) for t in atom.args):
-                raise ClassError("fact types require constant-free constraints")
-        out.append((idx, dep))
-    return out
+    tags = c.tags
+    if EGD_TAG in tags:
+        raise ClassError("fact types require TGD-only constraint sets")
+    if LINEAR_TAG not in tags or DISJ_TAG in tags or NONATOMIC_HEAD_TAG in tags:
+        raise ClassError("fact types require linear single-head TGDs")
+    if CONST_TAG in tags:
+        raise ClassError("fact types require constant-free constraints")
+    return list(enumerate(c.tgds))
 
 
 def _bind(atom: Atom, t: FactType) -> Optional[Dict[Var, int]]:

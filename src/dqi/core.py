@@ -269,6 +269,30 @@ class ConstraintSet:
     def egds(self) -> Tuple[EGD, ...]:
         return tuple(d for d in self.dependencies if isinstance(d, EGD))
 
+    @cached_property
+    def tags(self) -> FrozenSet[str]:
+        """Syntactic class tags (the `*_TAG` names), computed once: every
+        method reads its class gate here."""
+        tgds = self.tgds
+        tags = set()
+        if self.egds:
+            tags.add(EGD_TAG)
+        if constant_names(self):
+            tags.add(CONST_TAG)
+        if any(len(t.heads) > 1 for t in tgds):
+            tags.add(DISJ_TAG)
+        if any(len(h.atoms) != 1 for t in tgds for h in t.heads):
+            tags.add(NONATOMIC_HEAD_TAG)
+        if all(_is_id(t) for t in tgds):
+            tags.add(ID_TAG)
+        if all(len(t.body) == 1 for t in tgds):
+            tags.add(LINEAR_TAG)
+        if all(_is_fg(t) for t in tgds):
+            tags.add(FGTGD_TAG)
+        if all(_is_connected(t) for t in tgds) and all(_is_connected_egd(e) for e in self.egds):
+            tags.add(CONNECTED_TAG)
+        return frozenset(tags)
+
 
 # ---------------------------------------------------------------------------
 # queries
@@ -552,6 +576,7 @@ CONNECTED_TAG = "ConnectedBody"
 DISJ_TAG = "DisjunctiveHead"
 CONST_TAG = "HasConstants"
 EGD_TAG = "HasEGD"
+NONATOMIC_HEAD_TAG = "NonAtomicHead"  # a head disjunct is a conjunction or empty
 
 
 def _atom_constants(a: Atom) -> bool:
@@ -598,10 +623,6 @@ def _is_id(t: TGD) -> bool:
     return True
 
 
-def _is_linear(t: TGD) -> bool:
-    return len(t.body) == 1
-
-
 def _is_fg(t: TGD) -> bool:
     frontier = set(t.frontier)
     return any(frontier <= set(a.variables) for a in t.body)
@@ -623,31 +644,19 @@ def _is_connected(t: TGD) -> bool:
     return len(reached) == len(atoms)
 
 
-def classify(c: ConstraintSet, s: Schema) -> FrozenSet[str]:
-    """Syntactic class tags of a constraint set; recomputable and order-stable."""
-    tags = set()
-    tgds = c.tgds
-    if c.egds:
-        tags.add(EGD_TAG)
-    if any(_atom_constants(a) for d in c.dependencies for a in _dep_atoms(d)) or any(
-        isinstance(t, CName) for e in c.egds for t in (e.left, e.right)
-    ):
-        tags.add(CONST_TAG)
-    if any(len(t.heads) > 1 for t in tgds):
-        tags.add(DISJ_TAG)
-    if all(_is_id(t) for t in tgds):
-        tags.add(ID_TAG)
-    if all(_is_linear(t) for t in tgds):
-        tags.add(LINEAR_TAG)
-    if all(_is_fg(t) for t in tgds):
-        tags.add(FGTGD_TAG)
-    if all(_is_connected(t) for t in tgds) and all(_is_connected_egd(e) for e in c.egds):
-        tags.add(CONNECTED_TAG)
-    return frozenset(tags)
-
-
 def _is_connected_egd(e: EGD) -> bool:
     return _is_connected(TGD(e.body, (HeadDisjunct((), e.body[:1]),))) if e.body else True
+
+
+def require_empty_collapse(c: ConstraintSet) -> None:
+    """The class gate of the empty-instance collapse (∃NQI): constant-free
+    constraints with connected bodies, which are preserved under disjoint
+    unions."""
+    if CONNECTED_TAG not in c.tags:
+        raise ClassError("the empty-instance collapse requires connected constraint bodies "
+                         "(preservation under disjoint unions)")
+    if CONST_TAG in c.tags:
+        raise ClassError("the empty-instance collapse requires constant-free constraints")
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +701,10 @@ def normalize_single_head(c: ConstraintSet, s: Schema) -> Tuple[ConstraintSet, S
 
     Answer-preserving for query implication: the intermediate relation records
     the head's variable assignment and each original head atom is re-derived
-    from it.
+    from it.  A set whose head disjuncts are single atoms comes back unchanged.
     """
+    if NONATOMIC_HEAD_TAG not in c.tags:
+        return c, s
     deps: list = []
     extra: list = []
     counter = itertools.count(1)

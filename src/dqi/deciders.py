@@ -27,17 +27,16 @@ from .core import (
     Value,
     Var,
     active_domain,
-    classify,
     canonical_db,
+    constant_names,
     eval_ucq,
     ground_nulls,
     normalize_single_head,
+    require_empty_collapse,
     value_key,
-    CONNECTED_TAG,
     CONST_TAG,
     DISJ_TAG,
     EGD_TAG,
-    ID_TAG,
     LINEAR_TAG,
 )
 from .chase import (
@@ -166,13 +165,10 @@ def decide_nqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, b: ChaseBudget)
     """
     _require_boolean(q)
     try:
-        answer, witness = nqi_gfp_detail(q, c, s, v)
+        answer, witness, method = nqi_gfp_detail(q, c, s, v)
     except ClassError:
         pass
     else:
-        tags = classify(*normalize_single_head(c, s))
-        direct = ID_TAG in tags and CONST_TAG not in tags
-        method = "greatest fixpoint" if direct else "selected-attribute transform + greatest fixpoint"
         if answer:
             return Verdict(True, certificate=ClassExact(method))
         assert witness is not None
@@ -239,7 +235,7 @@ _CRITICAL = Const("a")
 
 
 def _reject_query_constants(q: UCQ) -> None:
-    if any(isinstance(t, CName) for d in q.disjuncts for a in d.atoms for t in a.args):
+    if constant_names(q=q):
         raise ClassError("the single-value collapse requires a constant-free query")
 
 
@@ -248,7 +244,7 @@ def decide_exists_pqi(q: UCQ, c: ConstraintSet, s: Schema, b: ChaseBudget) -> Ve
     true?  For constant-free non-disjunctive constraints this collapses to
     the critical instance whose domain is a single value."""
     _require_boolean(q)
-    tags = classify(c, s)
+    tags = c.tags
     if DISJ_TAG in tags:
         raise ClassError("existence of a positive implication is undecidable with "
                          "disjunctive heads; refusing")
@@ -276,12 +272,7 @@ def decide_exists_nqi(q: UCQ, c: ConstraintSet, s: Schema, b: ChaseBudget) -> Ve
     disjunct either contains a visible atom or has a canonical database whose
     visible chase tree dies on every branch."""
     _require_boolean(q)
-    tags = classify(c, s)
-    if CONNECTED_TAG not in tags:
-        raise ClassError("the empty-instance collapse requires connected constraint bodies "
-                         "(preservation under disjoint unions)")
-    if CONST_TAG in tags:
-        raise ClassError("the empty-instance collapse requires constant-free constraints")
+    require_empty_collapse(c)
     _reject_query_constants(q)
     unknown = False
     for d in q.disjuncts:

@@ -3,7 +3,7 @@
 This module decides negative query implication (NQI) for linear TGDs in
 polynomial data time.  The pipeline has three stages:
 
-1. ``enforce_adom_controllability`` rewrites a linear-TGD problem so that a
+1. ``transform_adom`` rewrites a linear-TGD problem so that a
    counterexample instance exists iff one exists whose values all come from
    the active domain of the visible instance (plus the constants mentioned
    in the input).  Hidden relations are split into copies ``R[I,u]`` that
@@ -18,12 +18,13 @@ polynomial data time.  The pipeline has three stages:
    survivor is derived by a rule instance whose body survives: the greatest
    fixpoint of the immediate consequence operator.
 
-``nqi_via_gfp`` runs stage 1 (not needed for inclusion dependencies without
-constants) and stage 2, then prunes the program's maximal database to the
-largest sub-instance that genuinely satisfies the constraints, which makes
-the final answer independent of how tightly the rule bodies approximate
-the constraints.  Both prunings are one support-counting deletion pass,
-``_prune_unsupported``.
+``nqi_gfp_detail`` reads the class tags of the constraints once and picks
+the method: stage 1 runs unless they are inclusion dependencies without
+constants.  Then it runs stage 2 and prunes the program's maximal database
+to the largest sub-instance that genuinely satisfies the constraints, which
+makes the final answer independent of how tightly the rule bodies
+approximate the constraints.  Both prunings are one support-counting
+deletion pass, ``_prune_unsupported``.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ from .core import (
     active_domain,
     apply_hom,
     boolean_cq,
-    classify,
     constant_names,
     eval_ucq,
     find_homomorphisms,
@@ -160,10 +160,8 @@ class AdomTransform:
         return Instance(self.source_schema, frozenset(facts))
 
 
-def _require_plain_linear(
-    c: ConstraintSet, s: Schema, allow_disjunctive: bool = False
-) -> None:
-    tags = classify(c, s)
+def _require_plain_linear(c: ConstraintSet, allow_disjunctive: bool = False) -> None:
+    tags = c.tags
     if EGD_TAG in tags:
         raise ClassError("equality constraints are outside the linear-TGD method")
     if DISJ_TAG in tags and not allow_disjunctive:
@@ -215,7 +213,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     """Rewrite a linear-TGD problem into an equivalent one whose negative
     query implication always has an active-domain counterexample when it has
     any counterexample at all."""
-    _require_plain_linear(c, s)
+    _require_plain_linear(c)
     if q.free_vars:
         raise ClassError("the transform expects a Boolean query")
     c, s = normalize_single_head(c, s)
@@ -383,15 +381,6 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     )
 
 
-def enforce_adom_controllability(
-    q: UCQ, c: ConstraintSet, s: Schema
-) -> Tuple[UCQ, ConstraintSet, Schema]:
-    """Selected-attribute rewriting of a linear-TGD problem; see
-    ``transform_adom`` for the full machinery."""
-    tr = transform_adom(q, c, s)
-    return tr.query, tr.constraints, tr.schema
-
-
 # ---------------------------------------------------------------------------
 # GFP-Datalog programs
 
@@ -462,7 +451,7 @@ def build_gfp_program(
     on it and on the heads of the constraints whose body it matches.  The
     goal relation fires on the query disjuncts.
     """
-    _require_plain_linear(c, s, allow_disjunctive=True)
+    _require_plain_linear(c, allow_disjunctive=True)
     if q.free_vars:
         raise ClassError("GFP compilation expects a Boolean query")
     c, s = normalize_single_head(c, s)
@@ -664,15 +653,13 @@ def _largest_model(
 ) -> Optional[Instance]:
     """The largest sub-instance of the program's maximal database with
     visible part `v` that satisfies every constraint, or None when there is
-    none or it falsifies the query.
+    none or it falsifies the query.  The TGD heads must be single atoms.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
     head matches of every disjunct are its supports.  A visible fact cannot
     be deleted: losing one means no instance extends `v`.
     """
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
-    # recheck after normalisation inside the builder
-    c, s = normalize_single_head(c, s)
     hidden_names = {r.name for r in s.hidden_relations}
     hidden = {f for f in _maximal_database(program, v) if f.relation in hidden_names}
     top = Instance(s, frozenset(hidden) | v.facts)
@@ -700,10 +687,14 @@ def _largest_model(
 
 def nqi_gfp_detail(
     q: UCQ, c: ConstraintSet, s: Schema, v: Instance
-) -> Tuple[bool, Optional[Instance]]:
-    """NQI for linear TGDs, with a counterexample over the source schema
-    when the answer is negative."""
-    _require_plain_linear(c, s)
+) -> Tuple[bool, Optional[Instance], str]:
+    """NQI for linear TGDs: the answer, a counterexample over the source
+    schema when the answer is negative, and the method that decided it.
+
+    Inclusion dependencies without constants need no transform; every
+    other linear set goes through ``transform_adom`` first.
+    """
+    _require_plain_linear(c)
     if q.free_vars:
         raise ClassError("NQI expects a Boolean query")
     # one spare value keeps the collapse argument sound on an empty domain
@@ -713,36 +704,22 @@ def nqi_gfp_detail(
     # multi-atom heads normalise away, so judge the fragment afterwards:
     # a head like R(x,y) ∧ S(y,z) is an inclusion-dependency set once split
     c0, s0 = normalize_single_head(c, s)
-    tags = classify(c0, s0)
-    if ID_TAG in tags and CONST_TAG not in tags:
-        v0 = Instance(s0, v.facts)
-        model = _largest_model(q, c0, s0, v0, extra_constants=extra)
-        if model is None:
-            return True, None
-        keep = set(s.by_name)
-        witness = Instance(
-            s, frozenset(f for f in model.facts if f.relation in keep)
+    if ID_TAG in c0.tags and CONST_TAG not in c0.tags:
+        method, back = "greatest fixpoint", lambda model: model
+        model = _largest_model(q, c0, s0, Instance(s0, v.facts), extra_constants=extra)
+    else:
+        tr = transform_adom(q, c0, s0)
+        method, back = "selected-attribute transform + greatest fixpoint", tr.reconstruct
+        model = _largest_model(
+            tr.query,
+            tr.constraints,
+            tr.schema,
+            Instance(tr.schema, v.facts),
+            forced_empty=tr.forced_empty,
+            extra_constants=extra,
         )
-        return False, witness
-    tr = transform_adom(q, c, s)
-    v1 = Instance(tr.schema, v.facts)
-    model = _largest_model(
-        tr.query,
-        tr.constraints,
-        tr.schema,
-        v1,
-        forced_empty=tr.forced_empty,
-        extra_constants=extra,
-    )
     if model is None:
-        return True, None
-    witness = tr.reconstruct(model)
+        return True, None, method
     keep = set(s.by_name)
-    witness = Instance(s, frozenset(f for f in witness.facts if f.relation in keep))
-    return False, witness
-
-
-def nqi_via_gfp(q: UCQ, c: ConstraintSet, s: Schema, v: Instance) -> bool:
-    """Does every instance with visible part `v` satisfying `c` falsify `q`?"""
-    answer, _ = nqi_gfp_detail(q, c, s, v)
-    return answer
+    witness = Instance(s, frozenset(f for f in back(model).facts if f.relation in keep))
+    return False, witness, method

@@ -32,15 +32,13 @@ from .core import (
     TGD,
     Var,
     active_domain,
-    classify,
     canonical_db,
     canonical_query,
     constant_names,
     fresh_name,
     ground_nulls,
+    require_empty_collapse,
     value_key,
-    CONNECTED_TAG,
-    CONST_TAG,
 )
 
 
@@ -580,12 +578,7 @@ def exists_nqi_to_owq(q: UCQ, c: ConstraintSet, s: Schema) -> ProblemInstance:
     collapses to the empty visible instance, which in turn is open-world
     answering: does every model containing the query's canonical facts
     expose some visible fact?"""
-    tags = classify(c, s)
-    if CONNECTED_TAG not in tags:
-        raise ClassError("the empty-instance collapse requires connected constraint bodies "
-                         "(preservation under disjoint unions)")
-    if CONST_TAG in tags:
-        raise ClassError("the empty-instance collapse requires constant-free constraints")
+    require_empty_collapse(c)
     if len(q.disjuncts) != 1:
         raise ClassError("this reduction expects a single conjunctive query")
     if not s.visible_relations:

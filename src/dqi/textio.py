@@ -258,10 +258,17 @@ def _parse_conjunction(p: _Parser) -> List[Atom]:
     return atoms
 
 
+def _at_binders(p: _Parser) -> bool:
+    """Does an `exists v1, ..., vk.` prefix start here?  `exists` followed
+    by `(` is a relation and followed by `=` an EGD's left variable."""
+    nxt = p.toks[p.pos + 1].text if p.pos + 1 < len(p.toks) else None
+    return p.at("exists") and nxt not in ("(", "=")
+
+
 def _parse_binders(p: _Parser) -> List[Var]:
     """The variables of an optional `exists v1, ..., vk.` prefix."""
     exist: List[Var] = []
-    if p.at("exists"):
+    if _at_binders(p):
         p.next()
         while True:
             t = p.next()
@@ -287,7 +294,7 @@ def _parse_constraints(p: _Parser) -> List[Dependency]:
         p.expect("->")
         # an EGD right-hand side is `term = term`
         save = p.pos
-        if not p.at("exists"):
+        if not _at_binders(p):
             first = p.peek()
             if first is not None and first.kind in ("name", "string"):
                 t1 = _parse_term(p)

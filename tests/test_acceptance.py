@@ -34,7 +34,7 @@ from dqi.deciders import (
     decide_owq,
     decide_pqi,
 )
-from dqi.gfp import enforce_adom_controllability, nqi_gfp_detail
+from dqi.gfp import nqi_gfp_detail, transform_adom
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, _models, oracle_nqi, oracle_pqi
 from dqi.problemgen import (
     bfs_reachable,
@@ -121,8 +121,8 @@ def test_accept_3_adom_controllability_fixture(controllability):
     untouched = oracle_nqi(q, c, s, v, k0)
     assert untouched.answer is True and untouched.witness is None
 
-    q2, c2, s2 = enforce_adom_controllability(q, c, s)
-    moved = oracle_nqi(q2, c2, s2, Instance(s2, v.facts), k0)
+    tr = transform_adom(q, c, s)
+    moved = oracle_nqi(tr.query, tr.constraints, tr.schema, Instance(tr.schema, v.facts), k0)
     assert moved.answer is False and moved.witness is not None
 
 
@@ -141,7 +141,7 @@ def test_accept_4_gfp_vs_oracle_differential():
         if not v.facts:
             continue  # k=0 on an empty domain has nothing to enumerate
         try:
-            ans, witness = nqi_gfp_detail(q, c, s, v)
+            ans, witness, _ = nqi_gfp_detail(q, c, s, v)
         except ClassError:
             continue
         try:

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import random
+import re
 
 import pytest
 
@@ -128,3 +130,60 @@ def test_usage_errors(capsys):
     # a file with two instances demands an explicit --instance
     code, _, err = run(capsys, "check", "pqi", "--file", MEDICAL)
     assert code == EXIT_USAGE and "instance" in err
+
+
+_FUZZ_TOKEN = re.compile(r"\s+|\w+|\"[^\"]*\"|->|.", re.S)
+_FUZZ_BUDGET = ("--budget-nodes", "40", "--budget-facts", "30", "--budget-depth", "8")
+
+
+def _mutant(rng, text):
+    """One to three token edits of a problem file: delete, duplicate, swap
+    with the next token, or replace by a token of the same file."""
+    toks = _FUZZ_TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(toks))
+        op = rng.randrange(4)
+        if op == 0:
+            del toks[i]
+        elif op == 1:
+            toks.insert(i, toks[i])
+        elif op == 2 and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        else:
+            toks[i] = rng.choice(toks)
+    return "".join(toks)
+
+
+def _fuzz_commands(path, instance):
+    return (
+        ["check", "nqi", "--file", path, "--instance", instance, *_FUZZ_BUDGET],
+        ["check", "pqi", "--file", path, "--instance", instance, *_FUZZ_BUDGET],
+        ["exists", "pqi", "--file", path, *_FUZZ_BUDGET],
+        ["gfp", "build", "--file", path],
+        ["emit", "gnfo", "pqi", "--file", path, "--instance", instance],
+    )
+
+
+def _fuzz_cases(count=300, seed=7):
+    """(mutated text, instance name, command index) triples: each mutant of
+    a fixture is run under one of the `_fuzz_commands`."""
+    fixtures = [(FIXTURES / name).read_text() for name in
+                ("medical.dqi", "separation.dqi", "controllability.dqi")]
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(fixtures)
+        instance = rng.choice(re.findall(r"instance (\w+)", text))
+        yield _mutant(rng, text), instance, rng.randrange(5)
+
+
+def test_mutated_problem_files_never_escape_the_exit_codes(tmp_path, capsys):
+    path = str(tmp_path / "mutant.dqi")
+    codes = set()
+    for text, instance, cmd in _fuzz_cases():
+        pathlib.Path(path).write_text(text)
+        argv = _fuzz_commands(path, instance)[cmd]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (EXIT_TRUE, EXIT_FALSE, EXIT_UNKNOWN, EXIT_USAGE), (argv, text)
+        codes.add(code)
+    assert EXIT_USAGE in codes and EXIT_TRUE in codes

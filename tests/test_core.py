@@ -26,7 +26,6 @@ from dqi.core import (
     boolean_ucq,
     canonical_db,
     canonical_query,
-    classify,
     critical_instance,
     eval_ucq,
     find_homomorphisms,
@@ -185,39 +184,35 @@ def test_satisfies_disjunctive_head_needs_one_disjunct():
 
 
 def test_classify_inclusion_dependencies():
-    s = simple_schema()
     c = ConstraintSet((
         TGD((Atom("R", (Var("x"), Var("y"))),),
             (HeadDisjunct((), (Atom("S", (Var("x"),)),)),)),
     ))
-    tags = classify(c, s)
+    tags = c.tags
     assert ID_TAG in tags and LINEAR_TAG in tags and FGTGD_TAG in tags
     assert DISJ_TAG not in tags and CONST_TAG not in tags and EGD_TAG not in tags
 
 
 def test_classify_repeated_variable_is_not_id():
-    s = simple_schema()
     c = ConstraintSet((
         TGD((Atom("R", (Var("x"), Var("x"))),),
             (HeadDisjunct((), (Atom("S", (Var("x"),)),)),)),
     ))
-    tags = classify(c, s)
+    tags = c.tags
     assert ID_TAG not in tags and LINEAR_TAG in tags
 
 
 def test_classify_constants_and_disjunction():
-    s = simple_schema()
     c = ConstraintSet((
         TGD((Atom("S", (CName("a"),)),),
             (HeadDisjunct((), (Atom("S", (CName("a"),)),)),
              HeadDisjunct((), (Atom("R", (CName("a"), CName("a"))),)))),
     ))
-    tags = classify(c, s)
+    tags = c.tags
     assert CONST_TAG in tags and DISJ_TAG in tags
 
 
 def test_classify_connected_bodies():
-    s = simple_schema()
     connected = ConstraintSet((
         TGD((Atom("R", (Var("x"), Var("y"))), Atom("S", (Var("y"),))),
             (HeadDisjunct((), (Atom("S", (Var("x"),)),)),)),
@@ -226,8 +221,8 @@ def test_classify_connected_bodies():
         TGD((Atom("S", (Var("x"),)), Atom("S", (Var("y"),))),
             (HeadDisjunct((), (Atom("R", (Var("x"), Var("y"))),)),)),
     ))
-    assert CONNECTED_TAG in classify(connected, s)
-    assert CONNECTED_TAG not in classify(disconnected, s)
+    assert CONNECTED_TAG in connected.tags
+    assert CONNECTED_TAG not in disconnected.tags
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from dqi.deciders import (
 )
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_owq, oracle_pqi, oracle_realizable
 from dqi.problemgen import random_id_problem
+from dqi.textio import parse
 
 
 def audit(verdict, q=None, c=None, v=None):
@@ -85,6 +86,24 @@ def test_nqi_fixture_controllability_witness(controllability, budget):
     assert r.value is False
     audit(r, controllability.queries["Q"], controllability.constraints,
           controllability.instances["V"])
+
+
+@pytest.mark.parametrize("constraints, method", [
+    # inclusion dependencies
+    ("H(x,y) -> V(x);", "greatest fixpoint"),
+    # a conjunctive head splits into inclusion dependencies
+    ("H(x,y) -> V(x) & W(y);", "greatest fixpoint"),
+    # a repeated variable or a constant needs the transform
+    ("H(x,x) -> V(x); H(x,y) -> W(y);", "selected-attribute transform + greatest fixpoint"),
+    ("H(x,y) -> V(\"c\");", "selected-attribute transform + greatest fixpoint"),
+])
+def test_nqi_names_the_exact_method(constraints, method, budget):
+    pf = parse("dqi-1\nschema { visible V/1; visible W/1; hidden H/2; }\n"
+               f"constraints {{ {constraints} }}\n"
+               "query Q { exists x, y. H(x,y) }\ninstance E { }\n")
+    r = decide_nqi(pf.queries["Q"], pf.constraints, pf.schema, pf.instances["E"], budget)
+    assert r.value is True
+    assert r.certificate == ClassExact(method)
 
 
 def test_owq_fixture(separation, budget):

@@ -28,7 +28,6 @@ from dqi.gfp import (
     build_gfp_program,
     eval_gfp,
     nqi_gfp_detail,
-    nqi_via_gfp,
     program_text,
     transform_adom,
 )
@@ -37,13 +36,13 @@ from dqi.problemgen import random_id_problem, random_linear_problem
 
 
 def test_medical_fixture_nqi_empty_instance(medical):
-    ans, witness = nqi_gfp_detail(medical.queries["Q"], medical.constraints,
+    ans, witness, _ = nqi_gfp_detail(medical.queries["Q"], medical.constraints,
                                   medical.schema, medical.instances["Vempty"])
     assert ans is True and witness is None
 
 
 def test_medical_fixture_nqi_with_patient(medical):
-    ans, witness = nqi_gfp_detail(medical.queries["Q"], medical.constraints,
+    ans, witness, _ = nqi_gfp_detail(medical.queries["Q"], medical.constraints,
                                   medical.schema, medical.instances["Vsmith"])
     assert ans is False
     assert witness.visible().facts == medical.instances["Vsmith"].facts
@@ -54,7 +53,7 @@ def test_medical_fixture_nqi_with_patient(medical):
 def test_controllability_fixture_needs_adom_transform(controllability):
     # R(x,y) -> S(x), R(x,x) -> T(): a query witness must use a value
     # outside the visible active domain, which the transform supplies
-    ans, witness = nqi_gfp_detail(controllability.queries["Q"],
+    ans, witness, _ = nqi_gfp_detail(controllability.queries["Q"],
                                   controllability.constraints,
                                   controllability.schema,
                                   controllability.instances["V"])
@@ -98,7 +97,7 @@ def test_gfp_fixpoint_is_a_model_when_goal_holds():
         rng = random.Random(3_000 + seed)
         q, c, s, v = random_id_problem(rng)
         try:
-            ans, witness = nqi_gfp_detail(q, c, s, v)
+            ans, witness, _ = nqi_gfp_detail(q, c, s, v)
         except ClassError:
             continue
         if not ans:
@@ -117,7 +116,7 @@ def test_gfp_agrees_with_bounded_counterexample_search(seed, linear):
     else:
         q, c, s, v = random_id_problem(rng)
     try:
-        ans, witness = nqi_gfp_detail(q, c, s, v)
+        ans, witness, _ = nqi_gfp_detail(q, c, s, v)
     except ClassError:
         return
     if ans:
@@ -149,8 +148,8 @@ def test_gfp_widening_the_query_union_is_monotone():
         extra = random_boolean_query(rng2, s)
         q2 = UCQ(q.disjuncts + extra.disjuncts)
         try:
-            a1, _ = nqi_gfp_detail(q, c, s, v)
-            a2, _ = nqi_gfp_detail(q2, c, s, v)
+            a1, _, _ = nqi_gfp_detail(q, c, s, v)
+            a2, _, _ = nqi_gfp_detail(q2, c, s, v)
         except ClassError:
             continue
         if a2 is True:

@@ -103,11 +103,11 @@ def test_pqi_to_nqi_adds_flag_machinery():
 
 
 def test_pqi_to_nqi_connected_variant_has_connected_bodies():
-    from dqi.core import CONNECTED_TAG, classify
+    from dqi.core import CONNECTED_TAG
 
     p = pqi_problem(22)
     out = pqi_to_nqi(p, connected=True)
-    assert CONNECTED_TAG in classify(out.constraints, out.schema)
+    assert CONNECTED_TAG in out.constraints.tags
 
 
 def test_owq_to_pqi_hides_the_whole_source_schema():

@@ -10,6 +10,7 @@ from dqi.core import (
     CQ,
     Const,
     ConstraintSet,
+    EGD,
     HeadDisjunct,
     RelationDecl,
     Schema,
@@ -144,6 +145,26 @@ def test_serialize_refuses_a_variable_that_reads_back_as_a_constant():
         q = UCQ((CQ((), (x,), (Atom("H", (x,)),)),))
         with pytest.raises(ValueError):
             serialize(ProblemFile(s, ConstraintSet(()), {"Q": q}))
+
+
+def test_roundtrip_the_name_exists():
+    # `exists` opens a binder list only when a name follows it, so it also
+    # serves as a relation name and as a variable on an EGD's left side
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("exists", 1, False)))
+    x, e = Var("x"), Var("exists")
+    c = ConstraintSet((
+        TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("exists", (x,)),)),)),
+        EGD((Atom("exists", (e,)), Atom("V", (x,))), e, x),
+    ))
+    queries = {
+        "Q": UCQ((CQ((), (x,), (Atom("exists", (x,)),)),)),
+        "F": UCQ((CQ((x,), (), (Atom("exists", (x,)),)),)),
+    }
+    pf = ProblemFile(s, c, queries)
+    again = parse(serialize(pf))
+    assert again.schema == s
+    assert again.constraints == c
+    assert again.queries == queries
 
 
 def test_parse_reports_the_position_of_a_duplicate_instance():
