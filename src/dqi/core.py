@@ -435,19 +435,26 @@ def find_homomorphisms(
         _, _, pos, atom, cand = best
         rest = todo[:pos] + todo[pos + 1:]
         for f in cand:
-            delta: Homomorphism = {}
-            ok = True
-            for t, v in zip(atom.args, f.args):
-                want = _term_value(t, {**mapping, **delta})
-                if want is None:
-                    delta[t] = v  # type: ignore[index]
-                elif want != v:
-                    ok = False
-                    break
-            if ok:
-                yield from extend({**mapping, **delta}, rest)
+            m = match_fact(atom, f, mapping)
+            if m is not None:
+                yield from extend(m, rest)
 
     return extend(base, remaining)
+
+
+def match_fact(atom: Atom, fact: Fact, seed: Mapping[Var, Value]) -> Optional[Homomorphism]:
+    """The extension of `seed` that maps `atom` onto `fact`, or None when
+    the relation, a constant or an already bound variable disagrees."""
+    if atom.relation != fact.relation or len(atom.args) != len(fact.args):
+        return None
+    m = dict(seed)
+    for t, v in zip(atom.args, fact.args):
+        if isinstance(t, CName):
+            if not (isinstance(v, Const) and v.name == t.name):
+                return None
+        elif m.setdefault(t, v) != v:
+            return None
+    return m
 
 
 def apply_hom(atoms: Sequence[Atom], mapping: Mapping[Var, Value]) -> Tuple[Fact, ...]:

@@ -16,21 +16,30 @@ polynomial data time.  The pipeline has three stages:
 3. ``eval_gfp`` initialises every intensional relation maximally over the
    active domain plus program constants, then deletes facts until every
    survivor is derived by a rule instance whose body survives: the greatest
-   fixpoint of the immediate consequence operator.
+   fixpoint of the immediate consequence operator.  The maximal database is
+   ``_MaximalDatabase``, which derives its facts from the rules either all
+   at once or only where one partially bound atom can match.
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
 constants.  Then it runs stage 2 and prunes the program's maximal database
 to the largest sub-instance that genuinely satisfies the constraints, which
 makes the final answer independent of how tightly the rule bodies
-approximate the constraints.  Both prunings are one support-counting
-deletion pass, ``_prune_unsupported``.
+approximate the constraints.  That pruning runs in two phases over one
+worklist of facts, each explored once (the local fixpoint of Liu & Smolka,
+ICALP 1998).  Phase 1 explores only what the visible facts and the query
+matches reach through supports, with the maximal database queried one head
+atom at a time; a True answer, where a visible fact or every query match
+dies, needs nothing more.  Phase 2, for a False answer, explores the rest of
+the maximal database and prunes it all, so the witness is the whole largest
+model.  Every pruning is one support-counting deletion pass,
+``_prune_unsupported``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Atom,
@@ -54,12 +63,10 @@ from .core import (
     apply_hom,
     boolean_cq,
     constant_names,
-    eval_ucq,
     find_homomorphisms,
     fresh_name,
-    head_matches,
+    match_fact,
     normalize_single_head,
-    satisfies,
     value_key,
     CONST_TAG,
     DISJ_TAG,
@@ -235,14 +242,14 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
                     idx += 1
                     cp = CopyRelation(rel.name, rel.arity, sel, pat, name)
                     per_rel.append(cp)
+                    copies.append(cp)
                     copy_at[(rel.name, sel, pat)] = cp
-        copies.extend(per_rel)
+                    if len(copies) > MAX_COPIES:
+                        raise TransformTooLarge(
+                            f"too many relation copies ({len(copies)}); "
+                            "lower the hidden arities or constant count"
+                        )
         copies_of[rel.name] = per_rel
-        if len(copies) > MAX_COPIES:
-            raise TransformTooLarge(
-                f"too many relation copies ({len(copies)}); "
-                "lower the hidden arities or constant count"
-            )
 
     new_schema = Schema(
         tuple(s.visible_relations)
@@ -529,8 +536,9 @@ def build_gfp_program(
     )
 
 
-def _maximal_database(p: GFPProgram, ext: Instance) -> Set[Fact]:
-    """The intensional facts derived in one step from the maximal database.
+class _MaximalDatabase:
+    """The intensional facts derived in one step from the maximal database,
+    enumerated whole or only where a partially bound atom can match.
 
     Against the maximal intensional database an intensional body atom is
     satisfied by every domain assignment, so only the extensional atoms
@@ -538,37 +546,68 @@ def _maximal_database(p: GFPProgram, ext: Instance) -> Set[Fact]:
     domain (the active domain plus the program constants).  This avoids
     ever materialising the |domain|^arity cross products.
     """
-    for f in ext.facts:
-        if f.relation not in p.extensional:
-            raise SchemaError(f"{f.relation} is not extensional")
-    domain = sorted(
-        set(active_domain(ext)) | {Const(n) for n in p.constants}, key=value_key
-    )
-    domain_set = set(domain)
-    out: Set[Fact] = set()
-    for r in p.rules:
-        ext_atoms = tuple(a for a in r.body if a.relation not in p.intensional)
-        int_atoms = tuple(a for a in r.body if a.relation in p.intensional)
-        feasible = True
-        for a in int_atoms:
-            for t in a.args:
-                if isinstance(t, CName):
-                    if Const(t.name) not in domain_set:
-                        feasible = False
-                elif not domain:
-                    feasible = False
-        if not feasible:
+
+    def __init__(self, p: GFPProgram, ext: Instance) -> None:
+        for f in ext.facts:
+            if f.relation not in p.extensional:
+                raise SchemaError(f"{f.relation} is not extensional")
+        self.ext = ext
+        self.domain = sorted(
+            set(active_domain(ext)) | {Const(n) for n in p.constants}, key=value_key
+        )
+        self.domain_set = set(self.domain)
+        # the feasible rules with their extensional atoms, by head relation
+        self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
+        for r in p.rules:
+            int_terms = [t for a in r.body if a.relation in p.intensional for t in a.args]
+            if any(Const(t.name) not in self.domain_set if isinstance(t, CName)
+                   else not self.domain for t in int_terms):
+                continue
+            ext_atoms = tuple(a for a in r.body if a.relation not in p.intensional)
+            self.rules.setdefault(r.head.relation, []).append((r.head, ext_atoms))
+
+    def facts(self, atom: Optional[Atom] = None,
+              seed: Mapping[Var, Value] = {}) -> Set[Fact]:
+        """Every fact, or with `atom` only those it matches under `seed`: each
+        rule for its relation then runs with the head positions that `atom`
+        binds as the seed of its extensional match."""
+        if atom is None:
+            rules = [rule for rs in self.rules.values() for rule in rs]
+        else:
+            rules = self.rules.get(atom.relation, [])
+        out: Set[Fact] = set()
+        for head, ext_atoms in rules:
+            bound = {} if atom is None else _bind_head(head, atom, seed)
+            if bound is None:
+                continue
+            for h in find_homomorphisms(ext_atoms, self.ext, seed=bound):
+                free = [x for x in head.variables if x not in h]
+                for combo in itertools.product(self.domain, repeat=len(free)):
+                    m = dict(h)
+                    m.update(zip(free, combo))
+                    fact = apply_hom((head,), m)[0]
+                    if all(v in self.domain_set for v in fact.args) and (
+                        atom is None or match_fact(atom, fact, seed) is not None
+                    ):
+                        out.add(fact)
+        return out
+
+
+def _bind_head(head: Atom, atom: Atom, seed: Mapping[Var, Value]) -> Optional[Dict[Var, Value]]:
+    """The values a rule head's variables take where `atom` holds a
+    constant or a variable bound by `seed`, or None when a rule constant
+    disagrees with one of them."""
+    m: Dict[Var, Value] = {}
+    for ht, at in zip(head.args, atom.args):
+        v = Const(at.name) if isinstance(at, CName) else seed.get(at)
+        if v is None:
             continue
-        head_vars = [t for t in r.head.args if isinstance(t, Var)]
-        for h in find_homomorphisms(ext_atoms, ext):
-            free = [x for x in dict.fromkeys(head_vars) if x not in h]
-            for combo in itertools.product(domain, repeat=len(free)):
-                m = dict(h)
-                m.update(zip(free, combo))
-                head = apply_hom((r.head,), m)[0]
-                if all(v in domain_set for v in head.args):
-                    out.add(head)
-    return out
+        if isinstance(ht, CName):
+            if v != Const(ht.name):
+                return None
+        elif m.setdefault(ht, v) != v:
+            return None
+    return m
 
 
 Support = Tuple[Fact, ...]
@@ -624,7 +663,7 @@ def eval_gfp(p: GFPProgram, ext: Instance) -> Tuple[bool, Instance]:
     """The greatest fixpoint of the immediate consequence operator below the
     maximal intensional database: an intensional fact survives while some
     rule instance deriving it has a live body."""
-    candidates = _maximal_database(p, ext)
+    candidates = _MaximalDatabase(p, ext).facts()
     decls = [RelationDecl(n, a, visible=(n in p.extensional)) for n, a in p.arities]
     schema = Schema(tuple(decls))
     top = Instance(schema, ext.facts | candidates)
@@ -653,36 +692,86 @@ def _largest_model(
 ) -> Optional[Instance]:
     """The largest sub-instance of the program's maximal database with
     visible part `v` that satisfies every constraint, or None when there is
-    none or it falsifies the query.  The TGD heads must be single atoms.
+    none or it falsifies the query.  The TGD bodies and heads must be
+    single atoms.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
-    head matches of every disjunct are its supports.  A visible fact cannot
-    be deleted: losing one means no instance extends `v`.
+    facts matching the head of each disjunct are its supports: from `v` for
+    a visible head, from the maximal database queried at the trigger's
+    values for a hidden one.  A visible fact cannot be deleted: losing one
+    means no instance extends `v`.
+
+    Whether a fact survives depends only on the facts it reaches through
+    supports, so phase 1 explores and prunes the closure of the visible
+    facts and the query matches alone, and decides a None answer there.
+    Otherwise phase 2 explores the rest of the maximal database and prunes
+    it all, giving the whole largest model as the witness.
     """
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
-    hidden_names = {r.name for r in s.hidden_relations}
-    hidden = {f for f in _maximal_database(program, v) if f.relation in hidden_names}
-    top = Instance(s, frozenset(hidden) | v.facts)
-    # a fact of a forced-empty copy owes an obligation nothing supports
-    obligations: List[Tuple[Fact, List[Support]]] = [
-        (apply_hom((atom,), h)[0], [])
-        for atom in forced_empty
-        for h in find_homomorphisms((atom,), top)
-    ]
+    maxdb = _MaximalDatabase(program, v)
+    hidden = {r.name for r in s.hidden_relations}
+    # body atom and head disjuncts of each trigger, by body relation; a fact
+    # of a forced-empty copy owes an obligation that nothing supports
+    triggers: Dict[str, List[Tuple[Atom, Tuple[HeadDisjunct, ...]]]] = {}
     for tgd in c.tgds:
-        for h in find_homomorphisms(tgd.body, top):
-            supports: List[Support] = []
-            for disjunct in tgd.heads:
-                for g in head_matches(disjunct, h, top):
-                    supports.append(apply_hom(disjunct.atoms, g))
-            obligations.append((apply_hom(tgd.body, h)[0], supports))
-    alive = _prune_unsupported(set(top.facts), obligations)
-    if not v.facts <= alive:
+        triggers.setdefault(tgd.body[0].relation, []).append((tgd.body[0], tgd.heads))
+    for atom in forced_empty:
+        triggers.setdefault(atom.relation, []).append((atom, ()))
+
+    def matches(atoms: Sequence[Atom], seed: Mapping[Var, Value]) -> Iterator[Support]:
+        """The facts of every match of `atoms` into `v` and the maximal
+        database that extends `seed`."""
+        if not atoms:
+            yield ()
+            return
+        atom, rest = atoms[0], atoms[1:]
+        if atom.relation in hidden:
+            found: Iterable[Fact] = maxdb.facts(atom, seed)
+        else:
+            found = [apply_hom((atom,), g)[0] for g in find_homomorphisms((atom,), v, seed)]
+        for f in found:
+            if not rest:
+                yield (f,)
+                continue
+            for more in matches(rest, match_fact(atom, f, seed)):  # type: ignore[arg-type]
+                yield (f,) + more
+
+    explored: Set[Fact] = set()
+    obligations: List[Tuple[Fact, List[Support]]] = []
+
+    def explore(roots: Iterable[Fact]) -> Set[Fact]:
+        """Add the obligations of every fact that the roots reach through
+        supports, and prune everything explored so far."""
+        worklist = list(roots)
+        while worklist:
+            fact = worklist.pop()
+            if fact in explored:
+                continue
+            explored.add(fact)
+            for body, heads in triggers.get(fact.relation, ()):
+                h = match_fact(body, fact, {})
+                if h is None:
+                    continue
+                supports = [
+                    m
+                    for d in heads
+                    for m in matches(d.atoms, {x: val for x, val in h.items() if x not in d.exist_vars})
+                ]
+                obligations.append((fact, supports))
+                worklist.extend(g for support in supports for g in support)
+        return _prune_unsupported(set(explored), obligations)
+
+    # visible atoms first, so that they bind the hidden lookups
+    query_matches = [
+        set(m)
+        for d in q.disjuncts
+        for m in matches(sorted(d.atoms, key=lambda a: a.relation in hidden), {})
+    ]
+    alive = explore(itertools.chain(v.facts, *query_matches))
+    if not (v.facts <= alive and any(m <= alive for m in query_matches)):
         return None
-    inst = Instance(s, frozenset(alive))
-    if not (eval_ucq(q, inst) and satisfies(c, inst)):
-        return None
-    return inst
+    alive = explore(f for f in maxdb.facts() if f.relation in hidden)
+    return Instance(s, frozenset(alive))
 
 
 def nqi_gfp_detail(

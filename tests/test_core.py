@@ -29,6 +29,7 @@ from dqi.core import (
     critical_instance,
     eval_ucq,
     find_homomorphisms,
+    match_fact,
     normalize_single_head,
     satisfies,
 )
@@ -129,6 +130,51 @@ def test_find_homomorphisms_join_consistency():
     atoms = (Atom("R", (Var("x"), Var("y"))), Atom("S", (Var("y"),)))
     homs = list(find_homomorphisms(atoms, i))
     assert len(homs) == 1 and homs[0][Var("x")] == Const("a")
+
+
+def test_find_homomorphisms_order_is_pinned():
+    # node ids and witnesses follow this order: the most constrained atom
+    # first, candidates in fact order, keys in binding order
+    s = Schema((RelationDecl("R", 2, True), RelationDecl("S", 1, True),
+                RelationDecl("T", 2, False)))
+    a, b, c, d = (Const(n) for n in "abcd")
+    i = inst(s, Fact("R", (a, b)), Fact("R", (b, c)), Fact("R", (c, a)), Fact("R", (a, a)),
+             Fact("S", (b,)), Fact("S", (a,)), Fact("T", (b, d)), Fact("T", (a, c)),
+             Fact("T", (a, d)))
+    x, y, z = Var("x"), Var("y"), Var("z")
+    homs = list(find_homomorphisms(
+        (Atom("R", (x, y)), Atom("T", (y, z)), Atom("S", (y,))), i))
+    assert [[h[v].name for v in (x, y, z)] for h in homs] == [
+        ["a", "a", "c"], ["c", "a", "c"], ["a", "a", "d"], ["c", "a", "d"], ["a", "b", "d"]]
+    assert all(list(h) == [y, z, x] for h in homs)
+
+
+def test_match_fact_binds_a_repeated_variable_once():
+    x, y = Var("x"), Var("y")
+    a, b = Const("a"), Const("b")
+    atom = Atom("R", (x, x, y))
+    assert match_fact(atom, Fact("R", (a, a, b)), {}) == {x: a, y: b}
+    assert match_fact(atom, Fact("R", (a, b, b)), {}) is None
+    assert match_fact(atom, Fact("S", (a, a, b)), {}) is None
+
+
+def test_match_fact_checks_a_constant():
+    x = Var("x")
+    atom = Atom("R", (CName("k"), x))
+    assert match_fact(atom, Fact("R", (Const("k"), Const("a"))), {}) == {x: Const("a")}
+    assert match_fact(atom, Fact("R", (Const("j"), Const("a"))), {}) is None
+    assert match_fact(atom, Fact("R", (Null(1), Const("a"))), {}) is None
+
+
+def test_match_fact_extends_the_seed_and_rejects_a_conflict():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    a, b = Const("a"), Const("b")
+    seed = {z: b, x: a}
+    atom = Atom("R", (x, y))
+    m = match_fact(atom, Fact("R", (a, b)), seed)
+    assert m == {z: b, x: a, y: b} and list(m) == [z, x, y]
+    assert seed == {z: b, x: a}
+    assert match_fact(atom, Fact("R", (b, b)), seed) is None
 
 
 @settings(max_examples=60, deadline=None)

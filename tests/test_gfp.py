@@ -17,14 +17,22 @@ from dqi.core import (
     Schema,
     TGD,
     Var,
+    apply_hom,
     boolean_ucq,
     eval_ucq,
+    find_homomorphisms,
+    head_matches,
     satisfies,
 )
+from dqi import gfp
 from dqi.gfp import (
+    MAX_COPIES,
     DatalogRule,
     GFPProgram,
+    TransformTooLarge,
+    _MaximalDatabase,
     _largest_model,
+    _prune_unsupported,
     build_gfp_program,
     eval_gfp,
     nqi_gfp_detail,
@@ -32,7 +40,11 @@ from dqi.gfp import (
     transform_adom,
 )
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi
-from dqi.problemgen import random_id_problem, random_linear_problem
+from dqi.problemgen import (
+    random_id_problem,
+    random_linear_problem,
+    reachability_problem,
+)
 
 
 def test_medical_fixture_nqi_empty_instance(medical):
@@ -258,3 +270,123 @@ def test_program_text_names_shape_variables_from_w0():
         'H(w0, w0, "k") :- A(w0), A("k"), R(w0).',
         "Goal() :- H(x, x, x).",
     ]
+
+
+def test_transform_stops_at_the_first_copy_over_the_limit():
+    # H/10 has 678 570 copies; the limit is checked as each one is made
+    xs = tuple(Var(f"x{i}") for i in range(10))
+    s = Schema((RelationDecl("H", 10, False), RelationDecl("V", 1, True)))
+    c = ConstraintSet((TGD((Atom("H", xs),), (HeadDisjunct((), (Atom("V", xs[:1]),)),)),))
+    with pytest.raises(TransformTooLarge, match=rf"\({MAX_COPIES + 1}\)"):
+        transform_adom(boolean_ucq([Atom("V", xs[:1])]), c, s)
+
+
+# ---------------------------------------------------------------------------
+# the demand-driven largest model
+
+
+@pytest.fixture
+def seeded_lookups_only(monkeypatch):
+    """Fail any enumeration of the whole maximal database."""
+    seeded = _MaximalDatabase.facts
+
+    def facts(self, atom=None, seed={}):
+        if atom is None:
+            raise AssertionError("the whole maximal database was enumerated")
+        return seeded(self, atom, seed)
+
+    monkeypatch.setattr(_MaximalDatabase, "facts", facts)
+
+
+def test_true_reachability_answer_never_enumerates_the_maximal_database(seeded_lookups_only):
+    # n2 is entered only from n3, which nothing enters: the path witness for
+    # (n0, n2) dies only after the one for (n0, n3)
+    nodes = ["n0", "n1", "n2", "n3"]
+    q, c, s, v = reachability_problem(nodes, [("n0", "n1"), ("n3", "n2")], "n0", "n2")
+    assert nqi_gfp_detail(q, c, s, v)[:2] == (True, None)
+    # a False answer needs the whole largest model as its witness
+    q, c, s, v = reachability_problem(["n0", "n1", "n2"], [("n0", "n2")], "n0", "n2")
+    with pytest.raises(AssertionError, match="whole maximal database"):
+        nqi_gfp_detail(q, c, s, v)
+
+
+def test_visible_fact_without_support_ends_phase_one(seeded_lookups_only):
+    # V(x) -> W(x) with V(a) visible and no W(a): V(a) cannot be kept
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 1, False)))
+    x = Var("x")
+    c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("W", (x,)),)),)),))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    assert _largest_model(boolean_ucq([Atom("H", (x,))]), c, s, v) is None
+
+
+def test_forced_empty_copy_fact_dies():
+    # H(x) -> V(x): H(a) and H(b) are candidates until H("a") is forced empty
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
+    x = Var("x")
+    a, b = Const("a"), Const("b")
+    c = ConstraintSet((TGD((Atom("H", (x,)),), (HeadDisjunct((), (Atom("V", (x,)),)),)),))
+    q = boolean_ucq([Atom("H", (x,))])
+    v = Instance(s, frozenset({Fact("V", (a,)), Fact("V", (b,))}))
+    assert _largest_model(q, c, s, v).facts == v.facts | {Fact("H", (a,)), Fact("H", (b,))}
+    model = _largest_model(q, c, s, v, forced_empty=(Atom("H", (CName("a"),)),))
+    assert model.facts == v.facts | {Fact("H", (b,))}
+    assert _largest_model(q, c, s, v, forced_empty=(Atom("H", (x,)),)) is None
+
+
+def _reference_largest_model(q, c, s, v, forced_empty=(), extra_constants=()):
+    """The largest-model pass before it became demand-driven: every fact of
+    the maximal database, every trigger, one pruning, then the checks."""
+    program = build_gfp_program(q, c, s, extra_constants=extra_constants)
+    hidden_names = {r.name for r in s.hidden_relations}
+    hidden = {f for f in _MaximalDatabase(program, v).facts() if f.relation in hidden_names}
+    top = Instance(s, frozenset(hidden) | v.facts)
+    obligations = [
+        (apply_hom((atom,), h)[0], [])
+        for atom in forced_empty
+        for h in find_homomorphisms((atom,), top)
+    ]
+    for tgd in c.tgds:
+        for h in find_homomorphisms(tgd.body, top):
+            supports = []
+            for disjunct in tgd.heads:
+                for g in head_matches(disjunct, h, top):
+                    supports.append(apply_hom(disjunct.atoms, g))
+            obligations.append((apply_hom(tgd.body, h)[0], supports))
+    alive = _prune_unsupported(set(top.facts), obligations)
+    if not v.facts <= alive:
+        return None
+    inst = Instance(s, frozenset(alive))
+    if not (eval_ucq(q, inst) and satisfies(c, inst)):
+        return None
+    return inst
+
+
+def test_largest_model_matches_the_full_pass(monkeypatch):
+    demand_driven = gfp._largest_model
+    outcomes = []
+
+    def both(*args, **kwargs):
+        got = demand_driven(*args, **kwargs)
+        assert got == _reference_largest_model(*args, **kwargs)
+        outcomes.append(got is None)
+        return got
+
+    monkeypatch.setattr(gfp, "_largest_model", both)
+    for seed in range(200):
+        rng = random.Random(seed)
+        gen = random_id_problem if seed % 2 else random_linear_problem
+        try:
+            nqi_gfp_detail(*gen(rng))
+        except ClassError:
+            pass
+    # disjunctive heads reach the pass only directly
+    for seed in range(40):
+        q, c, s, v = random_linear_problem(random.Random(seed), max_heads=2,
+                                           hidden_disjunct_atoms=True)
+        try:
+            both(q, c, s, v)
+        except ClassError:
+            pass
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 40
+
