@@ -13,12 +13,16 @@ polynomial data time.  The pipeline has three stages:
 2. ``build_gfp_program`` compiles the (controllable) problem into a Datalog
    program whose rules gate every hidden tuple on the active domain and on
    the heads of the constraints it must satisfy.
-3. ``eval_gfp`` initialises every intensional relation maximally over the
-   active domain plus program constants, then deletes facts until every
-   survivor is derived by a rule instance whose body survives: the greatest
-   fixpoint of the immediate consequence operator.  The maximal database is
-   ``_MaximalDatabase``, which derives its facts from the rules either all
-   at once or only where one partially bound atom can match.
+3. ``eval_gfp`` starts from the program's maximal database, then deletes
+   facts until every survivor is derived by a rule instance whose body
+   survives: the greatest fixpoint of the immediate consequence operator.
+   The maximal database is ``_MaximalDatabase``: one step of that operator
+   from the database holding every tuple over the active domain plus the
+   program constants, and one step more for the atoms of each intensional
+   relation with a single rule bound by extensional atoms, which is
+   unfolded into the rules that use it.  Its facts are derived from the
+   rules either all at once or only where one partially bound atom can
+   match.
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
@@ -31,13 +35,14 @@ ICALP 1998).  Phase 1 explores only what the visible facts and the query
 matches reach through supports, with the maximal database queried one head
 atom at a time; a True answer, where a visible fact or every query match
 dies, needs nothing more.  Phase 2, for a False answer, explores the rest of
-the maximal database and prunes it all, so the witness is the whole largest
-model.  Every pruning is one support-counting deletion pass,
-``_prune_unsupported``.
+the maximal database's hidden facts, enumerated one relation at a time, and
+prunes them all, so the witness is the whole largest model.  Every pruning
+is one support-counting deletion pass, ``_prune_unsupported``.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -537,14 +542,27 @@ def build_gfp_program(
 
 
 class _MaximalDatabase:
-    """The intensional facts derived in one step from the maximal database,
-    enumerated whole or only where a partially bound atom can match.
+    """The program's maximal intensional database, enumerated whole or only
+    where a partially bound atom can match.
 
-    Against the maximal intensional database an intensional body atom is
-    satisfied by every domain assignment, so only the extensional atoms
-    constrain the match and unpinned head variables range over the whole
-    domain (the active domain plus the program constants).  This avoids
-    ever materialising the |domain|^arity cross products.
+    Its facts are those a rule derives from the extensional facts when each
+    intensional body atom holds on every tuple over the domain (the active
+    domain plus the program constants), with one exception below.  So only
+    the extensional atoms constrain the match and unpinned head variables
+    range over the whole domain, which avoids ever materialising the
+    |domain|^arity cross products.
+
+    The exception is one more step of the immediate consequence operator,
+    compiled into the rules.  An intensional relation whose single feasible
+    rule has a head of distinct variables, all bound by the rule's
+    extensional atoms, holds after the first step exactly where those atoms
+    match.  Every other rule with a body atom over it gains those atoms, so
+    the atom no longer holds on every domain tuple.  This unfolds one level,
+    from the original atoms only, so a cycle never iterates.  Every fact of
+    the greatest fixpoint, and of the largest model of the constraints, is
+    derived by a rule whose intensional atoms match their facts, which lie
+    in the first step; so the database still holds them all, and pruning it
+    leaves the same facts alive as pruning the first step would.
     """
 
     def __init__(self, p: GFPProgram, ext: Instance) -> None:
@@ -556,15 +574,40 @@ class _MaximalDatabase:
             set(active_domain(ext)) | {Const(n) for n in p.constants}, key=value_key
         )
         self.domain_set = set(self.domain)
-        # the feasible rules with their extensional atoms, by head relation
-        self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
+        # the feasible rules with their extensional atoms
+        feasible: List[Tuple[DatalogRule, Tuple[Atom, ...]]] = []
         for r in p.rules:
             int_terms = [t for a in r.body if a.relation in p.intensional for t in a.args]
             if any(Const(t.name) not in self.domain_set if isinstance(t, CName)
                    else not self.domain for t in int_terms):
                 continue
-            ext_atoms = tuple(a for a in r.body if a.relation not in p.intensional)
-            self.rules.setdefault(r.head.relation, []).append((r.head, ext_atoms))
+            feasible.append((r, tuple(a for a in r.body if a.relation not in p.intensional)))
+        # the relations that unfold, with the head and extensional atoms of
+        # their rule; a constant head term is never a bound variable
+        rule_count = Counter(r.head.relation for r, _ in feasible)
+        unfold = {
+            r.head.relation: (r.head, ext_atoms)
+            for r, ext_atoms in feasible
+            if rule_count[r.head.relation] == 1
+            and len(set(r.head.args)) == len(r.head.args)
+            and set(r.head.args) <= {x for a in ext_atoms for x in a.variables}
+        }
+        # the rules with their extensional atoms, by head relation
+        self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
+        for r, ext_atoms in feasible:
+            gained: List[Atom] = []
+            for n, a in enumerate(r.body):
+                if a.relation not in unfold or a.relation == r.head.relation:
+                    continue
+                head, atoms = unfold[a.relation]
+                # head variables become the atom's terms; the others are
+                # renamed apart with a dot, which no parsed name contains
+                ren: Dict[Var, Union[Var, CName]] = dict(zip(head.args, a.args))  # type: ignore[arg-type]
+                for b in atoms:
+                    for x in b.variables:
+                        ren.setdefault(x, Var(f"{n}.{x.name}"))
+                gained.extend(_apply_subst(b, ren) for b in atoms)
+            self.rules.setdefault(r.head.relation, []).append((r.head, ext_atoms + tuple(gained)))
 
     def facts(self, atom: Optional[Atom] = None,
               seed: Mapping[Var, Value] = {}) -> Set[Fact]:
@@ -770,7 +813,11 @@ def _largest_model(
     alive = explore(itertools.chain(v.facts, *query_matches))
     if not (v.facts <= alive and any(m <= alive for m in query_matches)):
         return None
-    alive = explore(f for f in maxdb.facts() if f.relation in hidden)
+    alive = explore(
+        f
+        for r in s.hidden_relations
+        for f in maxdb.facts(Atom(r.name, tuple(Var(f"x{i}") for i in range(r.arity))))
+    )
     return Instance(s, frozenset(alive))
 
 

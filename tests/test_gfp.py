@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from dqi.core import (
     Schema,
     TGD,
     Var,
+    active_domain,
     apply_hom,
     boolean_ucq,
     eval_ucq,
@@ -287,11 +289,12 @@ def test_transform_stops_at_the_first_copy_over_the_limit():
 
 @pytest.fixture
 def seeded_lookups_only(monkeypatch):
-    """Fail any enumeration of the whole maximal database."""
+    """Fail any enumeration of the whole maximal database, or of a whole
+    relation of it: a lookup whose atom binds no position."""
     seeded = _MaximalDatabase.facts
 
     def facts(self, atom=None, seed={}):
-        if atom is None:
+        if atom is None or all(isinstance(t, Var) and t not in seed for t in atom.args):
             raise AssertionError("the whole maximal database was enumerated")
         return seeded(self, atom, seed)
 
@@ -310,6 +313,78 @@ def test_true_reachability_answer_never_enumerates_the_maximal_database(seeded_l
         nqi_gfp_detail(q, c, s, v)
 
 
+def test_reachability_maximal_database_projects_t_from_p():
+    # T(x, z, j) -> ∃y,i _aux_h1(x, y, i, z, j), and _aux_h1's one rule is
+    # bound by P(x, y, i, z, j): a T fact is a projection of a P fact rather
+    # than any of the 9^3 domain triples
+    nodes = ["n0", "n1", "n2", "n3"]
+    edges = [("n0", "n1"), ("n1", "n2"), ("n3", "n2")]
+    q, c, s, v = reachability_problem(nodes, edges, "n0", "n2")
+    facts = _MaximalDatabase(build_gfp_program(q, c, s), v).facts()
+    projected = {Fact("T", (f.args[0], f.args[3], f.args[4]))
+                 for f in v.facts if f.relation == "P"}
+    assert {f for f in facts if f.relation == "T"} == projected
+    assert len(projected) == 36 and len(facts) == 98
+
+
+def _one_step(p, ext):
+    """Every fact a rule derives from the extensional facts when each
+    intensional atom holds on every domain tuple."""
+    domain = set(active_domain(ext)) | {Const(n) for n in p.constants}
+    out = set()
+    for r in p.rules:
+        xs = sorted({x for a in (r.head,) + r.body for x in a.variables}, key=lambda x: x.name)
+        ext_atoms = [a for a in r.body if a.relation in p.extensional]
+        for combo in itertools.product(domain, repeat=len(xs)):
+            m = dict(zip(xs, combo))
+            if set(apply_hom(ext_atoms, m)) <= ext.facts:
+                out.add(apply_hom((r.head,), m)[0])
+    return out
+
+
+_x, _y, _z = Var("x"), Var("y"), Var("z")
+_S_OF_R = DatalogRule(Atom("S", (_x, _y)), (Atom("R", (_x, _y)),))
+
+
+@pytest.mark.parametrize("rules,constants,relation,unfolded", [
+    # one rule bound by E: S(x, y) gains E(x, y)
+    ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _y)),)), _S_OF_R], (), "S", True),
+    ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _y)),)),
+      DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_y, _x)),)), _S_OF_R], (), "S", False),
+    ([DatalogRule(Atom("R", (_x, _x)), (Atom("E", (_x, _y)),)), _S_OF_R], (), "S", False),
+    ([DatalogRule(Atom("R", (_x, CName("k"))), (Atom("E", (_x, _y)),)), _S_OF_R], ("k",), "S", False),
+    # Q unfolds into R's rule, but R's own atoms bind only x
+    ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _z)), Atom("Q", (_y,)))),
+      DatalogRule(Atom("Q", (_x,)), (Atom("F", (_x,)),)), _S_OF_R], (), "S", False),
+    # R's rule is not unfolded into itself
+    ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _y)), Atom("R", (_y, _x))))], (), "R", False),
+], ids=["single-rule", "two-rules", "repeated-head-variable", "head-constant",
+        "head-bound-by-intensional-atom", "own-relation"])
+def test_maximal_database_unfolds_only_single_rule_relations(rules, constants, relation, unfolded):
+    rules = rules + [DatalogRule(Atom("Goal", ()), (rules[-1].head,))]
+    arity = {a.relation: len(a.args) for r in rules for a in (r.head,) + r.body}
+    intensional = {r.head.relation for r in rules}
+    p = GFPProgram(
+        extensional=frozenset(arity) - intensional,
+        intensional=frozenset(intensional),
+        arities=tuple(sorted(arity.items())),
+        rules=tuple(rules),
+        constants=frozenset(constants),
+        goal="Goal",
+    )
+    a, b, c = Const("a"), Const("b"), Const("c")
+    ext_schema = Schema(tuple(RelationDecl(n, arity[n], True) for n in sorted(p.extensional)))
+    ext = Instance(ext_schema, frozenset(
+        {Fact("E", (a, b)), Fact("E", (b, c))} | ({Fact("F", (a,))} if "F" in arity else set())
+    ))
+    got = {f for f in _MaximalDatabase(p, ext).facts() if f.relation == relation}
+    one_step = {f for f in _one_step(p, ext) if f.relation == relation}
+    if unfolded:
+        assert got == {Fact("S", f.args) for f in ext.facts_of("E")} < one_step
+    else:
+        assert got == one_step
+
+
 def test_visible_fact_without_support_ends_phase_one(seeded_lookups_only):
     # V(x) -> W(x) with V(a) visible and no W(a): V(a) cannot be kept
     s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
@@ -317,7 +392,9 @@ def test_visible_fact_without_support_ends_phase_one(seeded_lookups_only):
     x = Var("x")
     c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((), (Atom("W", (x,)),)),)),))
     v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
-    assert _largest_model(boolean_ucq([Atom("H", (x,))]), c, s, v) is None
+    # V binds the query's H lookup
+    q = boolean_ucq([Atom("V", (x,)), Atom("H", (x,))])
+    assert _largest_model(q, c, s, v) is None
 
 
 def test_forced_empty_copy_fact_dies():
@@ -335,11 +412,15 @@ def test_forced_empty_copy_fact_dies():
 
 
 def _reference_largest_model(q, c, s, v, forced_empty=(), extra_constants=()):
-    """The largest-model pass before it became demand-driven: every fact of
-    the maximal database, every trigger, one pruning, then the checks."""
+    """The largest-model pass without the program: every domain tuple of
+    every hidden relation, every trigger, one pruning, then the checks."""
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
-    hidden_names = {r.name for r in s.hidden_relations}
-    hidden = {f for f in _MaximalDatabase(program, v).facts() if f.relation in hidden_names}
+    domain = set(active_domain(v)) | {Const(n) for n in program.constants}
+    hidden = {
+        Fact(r.name, args)
+        for r in s.hidden_relations
+        for args in itertools.product(domain, repeat=r.arity)
+    }
     top = Instance(s, frozenset(hidden) | v.facts)
     obligations = [
         (apply_hom((atom,), h)[0], [])
