@@ -28,19 +28,22 @@ enumerated by `_patterns`; these and the term binder `bind_pattern` also
 serve `gfp`'s selected-attribute copies, whose patterns hold named
 constants.  `_bind` matches an atom against a type,
 `_apply_linear` applies one TGD to it, and one breadth-first loop,
-`_reach`, saturates a set of types.  `fact_type_closure` runs that loop
-from the critical instance over collapse-stable types, which decides
-query implication over the critical instance without materializing an
-unbounded chase (`decide_pqi_critical_linear`);
-`decide_owq_atomic_linear` runs it from the types of a given instance to
-answer atomic queries open-world.
+`_reach`, saturates a set of types.  `fact_type_closure` maps every type
+to its stable type, the one its facts end up with once grounding has
+forced their nulls to `a`, and runs that loop from the critical instance
+over stable types; `decide_pqi_critical_linear` embeds each query image
+into the resulting forest, one component of null-linked facts
+(`core.components`) at a time, which decides query implication over the
+critical instance without materializing an unbounded chase.
+`decide_owq_atomic_linear` runs the loop from the types of a given
+instance to answer atomic queries open-world.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .core import (
@@ -70,11 +73,13 @@ from .core import (
     _term_value,
     active_domain,
     apply_hom,
+    components,
     critical_instance,
     find_homomorphisms,
     map_instance,
     satisfies,
     value_key,
+    value_name,
 )
 
 
@@ -131,7 +136,7 @@ def _fire(idx: int, dep: Dependency, hom: Homomorphism, instance: Instance,
     u, v = _term_value(dep.left, hom), _term_value(dep.right, hom)
     if u == v:
         return None
-    step = f"egd#{idx} {_vname(u)}={_vname(v)}"
+    step = f"egd#{idx} {value_name(u)}={value_name(v)}"
     if isinstance(u, Const) and isinstance(v, Const):
         return [(step, None, (), {})]
     m = _merge_map(u, v)
@@ -146,10 +151,6 @@ def _merge_map(u: Value, v: Value) -> Mapping[Value, Value]:
     if isinstance(u, Null):
         return {u: v}
     return {v: u}
-
-
-def _vname(v: Value) -> str:
-    return v.name if isinstance(v, Const) else f"?{v.id}"
 
 
 class _Triggers:
@@ -297,7 +298,6 @@ class ChaseNode:
 
 @dataclass
 class ChaseTree:
-    root: int
     nodes: Dict[int, ChaseNode]
 
     def leaves(self) -> List[ChaseNode]:
@@ -345,7 +345,7 @@ def _grounding_children(
         if image.visible().facts == visible_part.facts:
             if image.facts not in seen:
                 seen.add(image.facts)
-                desc = ",".join(f"?{n.id}->{_vname(val)}" for n, val in zip(move, combo))
+                desc = ",".join(f"?{n.id}->{value_name(val)}" for n, val in zip(move, combo))
                 out.append((image, desc, g))
     return out
 
@@ -412,7 +412,7 @@ def visible_chase(
                 child = new_node(child_instance, OPEN, node, step + (f" [{desc}]" if desc else ""),
                                  triggers.remap(g) if g else triggers.copy())
                 frontier.append(child.id)
-    return ChaseTree(0, nodes)
+    return ChaseTree(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +567,7 @@ def _reach(linear: Sequence[Tuple[int, TGD]], roots: Iterable[FactType],
 class TypeClosure:
     """Saturated fact-type graph for a linear constraint set.
 
-    `edges` is the derivability relation between collapse-stable types,
+    `edges` is the derivability relation between stable types,
     keyed by source; `reachable` the types realized from the critical
     instance.
     """
@@ -576,68 +576,45 @@ class TypeClosure:
     reachable: FrozenSet[FactType]
 
 
-Forced = Mapping[FactType, AbstractSet[int]]
-
-
-def _collapse(t: FactType, forced: Forced) -> FactType:
-    groups = forced.get(t, frozenset())
-    if not groups:
-        return t
-    entries = [A_MARK if e in groups else e for e in t.pattern]
-    return FactType(t.relation, canon_pattern(entries))
-
-
 def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
     """Saturate forcing and derivability over fact types.
 
-    Iterates: derive types by linear TGD application; whenever a derived
-    type's relation is visible, its groups are forced to the constant in
-    the producing type (grounding in the critical instance maps every
-    value of a visible fact to `a`); forcing collapses patterns, which can
-    enable more unifications, so repeat until stable.  `forced` maps each
-    type to the pattern groups that must equal the constant.
+    `stable` sends every type to the type its facts end up with.  Grounding
+    in the critical instance maps every value of a visible fact to `a`, so a
+    group of `stable[t]` is forced when a linear TGD copies it into a
+    visible fact, or into a position that is `a` in the stable type of the
+    hidden fact it produces.  Forcing collapses patterns, which can enable
+    more unifications, so repeat over every type (derivations may start
+    anywhere) until no stable type changes; then collect the stable types
+    reachable from the critical instance.
     """
     linear = _linear_tgds(c)
-    forced: Dict[FactType, Set[int]] = {}
-
-    # forcing fixpoint over every type (derivations may start anywhere)
+    types = [FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)]
+    stable: Dict[FactType, FactType] = {t: t for t in types}
     changed = True
     while changed:
         changed = False
-        for t in (FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)):
-            ct = _collapse(t, forced)
+        for t in types:
+            st = stable[t]
+            forced: Set[int] = set()
             for _, dep in linear:
-                res = _apply_linear(dep, ct)
+                res = _apply_linear(dep, st)
                 if res is None:
                     continue
                 target, corr = res
                 if s.decl(target.relation).visible:
-                    # grounding forces every group copied into the visible fact
-                    newly = {g for g, _ in corr}
+                    forced.update(g for g, _ in corr)
                 else:
-                    tgt_forced = forced.get(_collapse(target, forced), set()) | forced.get(target, set())
-                    newly = {g for g, g2 in corr if g2 in tgt_forced}
-                if newly:
-                    # translate collapsed-type groups back to t's groups
-                    back = _group_back_map(t, ct)
-                    mine = forced.setdefault(t, set())
-                    added = {orig for g in newly for orig in back.get(g, ())} - mine
-                    if added:
-                        mine |= added
-                        changed = True
+                    marked = {raw for raw, e in zip(target.pattern, stable[target].pattern) if e == A_MARK}
+                    forced.update(g for g, g2 in corr if g2 in marked)
+            if forced:
+                entries = [A_MARK if e in forced else e for e in st.pattern]
+                stable[t] = stable[FactType(st.relation, canon_pattern(entries))]
+                changed = True
 
-    # reachability from the critical instance over collapse-stable types
     roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
-    reachable, edges = _reach(linear, roots, lambda t: _stable(t, forced))
+    reachable, edges = _reach(linear, roots, stable.__getitem__)
     return TypeClosure(edges=edges, reachable=frozenset(reachable))
-
-
-def _stable(t: FactType, forced: Forced) -> FactType:
-    while True:
-        t2 = _collapse(t, forced)
-        if t2 == t:
-            return t
-        t = t2
 
 
 def _restrict_corr(raw_target: FactType, stable_target: FactType,
@@ -647,18 +624,6 @@ def _restrict_corr(raw_target: FactType, stable_target: FactType,
     pos_map = {raw_e: st_e for raw_e, st_e in zip(raw_target.pattern, stable_target.pattern)
                if raw_e != A_MARK and st_e != A_MARK}
     return tuple(sorted((g, pos_map[g2]) for g, g2 in corr if g2 in pos_map))
-
-
-def _group_back_map(original: FactType, collapsed: FactType) -> Dict[int, List[int]]:
-    """Which original groups end up as each collapsed group."""
-    back: Dict[int, List[int]] = {}
-    for o, c in zip(original.pattern, collapsed.pattern):
-        if o == A_MARK or c == A_MARK:
-            continue
-        back.setdefault(c, [])
-        if o not in back[c]:
-            back[c].append(o)
-    return back
 
 
 # ---------------------------------------------------------------------------
@@ -709,190 +674,116 @@ def decide_pqi_critical_linear(q: UCQ, c: ConstraintSet, s: Schema) -> bool:
     for disjunct in q.disjuncts:
         if disjunct.free_vars:
             raise ClassError("critical-instance decision requires Boolean queries")
-        if _disjunct_embeds(disjunct, closure, s):
+        if _disjunct_embeds(disjunct, closure):
             return True
     return False
 
 
-def _disjunct_embeds(d: CQ, closure: TypeClosure, s: Schema) -> bool:
+def _disjunct_embeds(d: CQ, closure: TypeClosure) -> bool:
     if any(isinstance(t, CName) for atom in d.atoms for t in atom.args):
         return False  # constant-free setting
     variables = list(d.variables)
     for assignment in (dict(zip(variables, p)) for p in _patterns(len(variables))):
         image = [(atom.relation, tuple(assignment[t] for t in atom.args)) for atom in d.atoms]
-        if _image_realized(image, closure, s):
+        if _image_realized(image, closure):
             return True
     return False
 
-def _image_realized(image: Sequence[Tuple[str, Tuple[int, ...]]], closure: TypeClosure,
-                    s: Schema) -> bool:
-    ground = [f for f in image if all(e == 0 for e in f[1])]
-    nullish = [f for f in image if any(e != 0 for e in f[1])]
-    for rel, entries in set(ground):
-        t = FactType(rel, (A_MARK,) * len(entries))
-        if t not in closure.reachable:
-            return False
-    if not nullish:
-        return True
-    # group facts into components connected by shared nulls
-    for comp in _null_components(nullish):
-        if not any(
-            _realize_component(root, comp, {}, closure.edges, frozenset())
-            for root in sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
-        ):
-            return False
-    return True
+
+# An image fact: a query atom's relation and the pattern of its image, with
+# `A_MARK` for `a` and one number per null.
+ImageFact = Tuple[str, Tuple[int, ...]]
 
 
-def _null_components(facts: Sequence[Tuple[str, Tuple[int, ...]]]) -> List[List[Tuple[str, Tuple[int, ...]]]]:
-    facts = list(dict.fromkeys(facts))
-    comps: List[List[Tuple[str, Tuple[int, ...]]]] = []
-    assigned = [False] * len(facts)
-    for i in range(len(facts)):
-        if assigned[i]:
-            continue
-        comp = [facts[i]]
-        assigned[i] = True
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            js = {e for e in facts[j][1] if e != 0}
-            for k in range(len(facts)):
-                if not assigned[k] and js & {e for e in facts[k][1] if e != 0}:
-                    assigned[k] = True
-                    comp.append(facts[k])
-                    frontier.append(k)
-        comps.append(comp)
-    return comps
+def _nulls(f: ImageFact) -> List[int]:
+    return [e for e in f[1] if e != A_MARK]
 
 
-def _match_fact(t: FactType, fact: Tuple[str, Tuple[int, ...]],
-                bind: Mapping[int, int]) -> Optional[Dict[int, int]]:
+def _image_realized(image: Sequence[ImageFact], closure: TypeClosure) -> bool:
+    if any(not _nulls(f) and FactType(*f) not in closure.reachable for f in image):
+        return False
+    nullish = list(dict.fromkeys(f for f in image if _nulls(f)))
+    roots = sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
+    return all(any(_realize_component(root, comp, {}, closure.edges, frozenset()) for root in roots)
+               for comp in components(nullish, _nulls))
+
+
+def _match_fact(t: FactType, fact: ImageFact, bind: Mapping[int, int]) -> Optional[Dict[int, int]]:
     """Match an image fact against the current node's type.
 
-    `bind` maps image nulls to pattern groups of `t`; a consistent
-    extension is returned, or None.  Distinct nulls need distinct groups.
+    The fact needs the type's relation and equalities, and `bind`, which
+    maps image nulls to distinct pattern groups of `t`, must extend to its
+    nulls; the extension is returned, or None.
     """
     rel, entries = fact
-    if rel != t.relation or len(entries) != len(t.pattern):
+    if rel != t.relation or canon_pattern(entries) != t.pattern:
         return None
-    new = dict(bind)
-    used = set(new.values())
-    for e, p in zip(entries, t.pattern):
-        if e == 0:
-            if p != A_MARK:
-                return None
-        else:
-            if p == A_MARK:
-                return None
-            if e in new:
-                if new[e] != p:
-                    return None
-            else:
-                if p in used:
-                    return None
-                new[e] = p
-                used.add(p)
-    # groups representing distinct nulls must be distinct
-    per_group: Dict[int, int] = {}
-    for e, g in new.items():
-        if g in per_group and per_group[g] != e:
-            return None
-        per_group[g] = e
-    return new
+    used = set(bind.values())
+    pairs = [(e, g) for e, g in zip(entries, t.pattern) if e != A_MARK]
+    if any(bind[e] != g if e in bind else g in used for e, g in pairs):
+        return None
+    return {**bind, **dict(pairs)}
 
 
 def _realize_component(
     t: FactType,
-    pending: Sequence[Tuple[str, Tuple[int, ...]]],
+    pending: List[ImageFact],
     bind: Mapping[int, int],
     edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
     trail: FrozenSet[Tuple],
 ) -> bool:
     """Can the pending facts be realized in the forest subtree below a node
     of type `t`, with `bind` fixing which pattern groups carry which nulls?"""
-    if not pending:
-        return True
     state = (t, tuple(sorted(bind.items())), tuple(sorted(pending)))
     if state in trail:
         return False  # cycle without progress
     trail = trail | {state}
-
-    options: List[Tuple[Mapping[int, int], List[Tuple[str, Tuple[int, ...]]]]] = []
     # optionally pin unbound nulls to groups of this node's fact (a null
-    # shared across children must be live here)
-    unbound = [e for f in pending for e in f[1] if e != 0 and e not in bind]
-    unbound = list(dict.fromkeys(unbound))
+    # shared across children must be live here), then optionally match one
+    # pending fact to the node itself
+    unbound = list(dict.fromkeys(e for f in pending for e in _nulls(f) if e not in bind))
     free_groups = [g for g in t.groups() if g not in bind.values()]
     for k in range(min(len(unbound), len(free_groups)) + 1):
         for nulls_sel in itertools.combinations(unbound, k):
             for groups_sel in itertools.permutations(free_groups, k):
-                ext = dict(bind)
-                ext.update(zip(nulls_sel, groups_sel))
-                options.append((ext, list(pending)))
+                ext = {**bind, **dict(zip(nulls_sel, groups_sel))}
+                if _spread_children(t, pending, ext, edge_by_src, trail):
+                    return True
                 for i, fact in enumerate(pending):
                     new_bind = _match_fact(t, fact, ext)
-                    if new_bind is not None:
-                        rest = list(pending[:i]) + list(pending[i + 1:])
-                        options.append((new_bind, rest))
-
-    for cur_bind, rest in options:
-        if not rest:
-            return True
-        # nulls that still occur in pending facts must stay carryable
-        live = {e for f in rest for e in f[1] if e != 0}
-        if _spread_children(t, rest, cur_bind, live, edge_by_src, trail):
-            return True
+                    if new_bind is None:
+                        continue
+                    rest = pending[:i] + pending[i + 1:]
+                    if not rest or _spread_children(t, rest, new_bind, edge_by_src, trail):
+                        return True
     return False
 
 
 def _spread_children(
     t: FactType,
-    pending: List[Tuple[str, Tuple[int, ...]]],
+    pending: List[ImageFact],
     bind: Mapping[int, int],
-    live: Set[int],
     edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
     trail: FrozenSet[Tuple],
 ) -> bool:
-    """Distribute pending facts among the node's children (one child per
-    outgoing edge; bound nulls survive only along copied groups)."""
+    """Distribute pending facts among the node's children, one child per
+    outgoing edge.  Facts linked by a null not bound at this node go to one
+    child together; a bound null survives only along a copied group."""
     edges = edge_by_src.get(t, [])
-    if not edges:
-        return False
-    if len(pending) == 0:
-        return True
-    # choose, for each pending fact, which edge's subtree it goes to
-    for split in itertools.product(range(len(edges)), repeat=len(pending)):
-        ok = True
-        by_edge: Dict[int, List[Tuple[str, Tuple[int, ...]]]] = {}
-        for f, e_idx in zip(pending, split):
-            by_edge.setdefault(e_idx, []).append(f)
-        # a null occurring in two different children must be live here
-        if len(by_edge) > 1:
-            for e1, e2 in itertools.combinations(by_edge, 2):
-                n1 = {e for f in by_edge[e1] for e in f[1] if e != 0}
-                n2 = {e for f in by_edge[e2] for e in f[1] if e != 0}
-                if (n1 & n2) - set(bind):
-                    ok = False
-                    break
-            if not ok:
-                continue
+    parts = [pending] if len(edges) <= 1 else components(
+        pending, lambda f: [e for e in _nulls(f) if e not in bind])
+    for split in itertools.product(range(len(edges)), repeat=len(parts)):
+        by_edge: Dict[int, List[ImageFact]] = {}
+        for e_idx, part in zip(split, parts):
+            by_edge.setdefault(e_idx, []).extend(part)
         for e_idx, part in by_edge.items():
-            edge = edges[e_idx]
-            corr = dict(edge.correspondence)
-            child_bind: Dict[int, int] = {}
-            for null_id, group in bind.items():
-                needed = any(null_id in {e for e in f[1] if e != 0} for f in part)
-                if group in corr:
-                    child_bind[null_id] = corr[group]
-                elif needed:
-                    ok = False
-                    break
-            if not ok:
+            corr = dict(edges[e_idx].correspondence)
+            needed = {e for f in part for e in _nulls(f)}
+            if any(g not in corr for n, g in bind.items() if n in needed):
                 break
-            if not _realize_component(edge.target, part, child_bind, edge_by_src, trail):
-                ok = False
+            child_bind = {n: corr[g] for n, g in bind.items() if g in corr}
+            if not _realize_component(edges[e_idx].target, part, child_bind, edge_by_src, trail):
                 break
-        if ok:
+        else:
             return True
     return False

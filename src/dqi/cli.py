@@ -24,11 +24,11 @@ from .chase import (
 from .core import (
     ClassError,
     Const,
-    Null,
     Instance,
     Schema,
     SchemaError,
     UCQ,
+    value_name,
 )
 from .deciders import (
     ChaseExhausted,
@@ -125,7 +125,7 @@ def _certificate_summary(certificate) -> Optional[Dict]:
             "kind": "witness",
             "polarity": certificate.polarity,
             "facts": [
-                [f.relation, [_value_json(a) for a in f.args]]
+                [f.relation, [value_name(a) for a in f.args]]
                 for f in certificate.instance.sorted_facts()
             ],
         }
@@ -142,19 +142,11 @@ def _certificate_summary(certificate) -> Optional[Dict]:
     return {"kind": type(certificate).__name__}
 
 
-def _value_json(v) -> str:
-    if isinstance(v, Const):
-        return v.name
-    if isinstance(v, Null):
-        return f"?{v.id}"
-    return repr(v)
-
-
 def _write_facts_tsv(path: str, instance: Instance) -> None:
     """One line per fact in sorted order: the relation, then each value."""
     with open(path, "w", encoding="utf-8") as fh:
         for f in instance.sorted_facts():
-            fh.write(f"{f.relation}\t" + "\t".join(_value_json(a) for a in f.args) + "\n")
+            fh.write(f"{f.relation}\t" + "\t".join(value_name(a) for a in f.args) + "\n")
 
 
 def _verdict_word(value: Optional[bool]) -> str:
@@ -367,7 +359,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     result = chase_vis_critical(pf.constraints, pf.schema, Const(args.value), budget)
     print(f"status: {result.status}")
     for f in result.instance.sorted_facts():
-        print(f"  {f.relation}({', '.join(_value_json(a) for a in f.args)})")
+        print(f"  {f.relation}({', '.join(value_name(a) for a in f.args)})")
     if args.trace:
         _write_facts_tsv(args.trace, result.instance)
     return EXIT_TRUE if result.status == SATURATED else EXIT_UNKNOWN

@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple, TypeVar, Union)
 
 
 class SchemaError(ValueError):
@@ -48,6 +49,12 @@ def value_key(v: Value) -> Tuple[int, object]:
     if isinstance(v, Const):
         return (0, v.name)
     return (1, v.id)
+
+
+def value_name(v: Value) -> str:
+    """A value as reports, traces and chase steps write it: a constant's
+    name, or `?N` for the null numbered N."""
+    return v.name if isinstance(v, Const) else f"?{v.id}"
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,12 @@ class Instance:
     def _match_state(self) -> "MatchState":
         """Relation buckets and hash indexes for `find_homomorphisms`, built
         once: the instance is immutable, so every search over it reuses them."""
-        return _build_match_state(self.facts)
+        by_rel: Dict[str, list] = {}
+        for f in self.facts:
+            by_rel.setdefault(f.relation, []).append(f)
+        for fs in by_rel.values():
+            fs.sort(key=fact_key)
+        return by_rel, {}
 
 
 def active_domain(instance: Instance) -> FrozenSet[Value]:
@@ -289,7 +301,7 @@ class ConstraintSet:
             tags.add(LINEAR_TAG)
         if all(_is_fg(t) for t in tgds):
             tags.add(FGTGD_TAG)
-        if all(_is_connected(t) for t in tgds) and all(_is_connected_egd(e) for e in self.egds):
+        if all(_is_connected(d.body) for d in self.dependencies):
             tags.add(CONNECTED_TAG)
         return frozenset(tags)
 
@@ -367,18 +379,9 @@ def _term_value(t: Term, mapping: Mapping[Var, Value]) -> Optional[Value]:
 MatchState = Tuple[Dict[str, list], Dict[Tuple[str, int, Tuple[int, ...]], Dict[Tuple, list]]]
 
 
-def _build_match_state(facts: FrozenSet[Fact]) -> MatchState:
-    by_rel: Dict[str, list] = {}
-    for f in facts:
-        by_rel.setdefault(f.relation, []).append(f)
-    for fs in by_rel.values():
-        fs.sort(key=fact_key)
-    return by_rel, {}
-
-
 def find_homomorphisms(
     atoms: Sequence[Atom],
-    target: Union[Instance, Iterable[Fact]],
+    target: Instance,
     seed: Optional[Mapping[Var, Value]] = None,
 ) -> Iterator[Homomorphism]:
     """Enumerate extensions of `seed` mapping every atom onto a target fact.
@@ -386,10 +389,7 @@ def find_homomorphisms(
     Backtracking search, most-constrained atom first; the output order is
     deterministic for fixed inputs.
     """
-    if isinstance(target, Instance):
-        by_rel, index = target._match_state
-    else:
-        by_rel, index = _build_match_state(frozenset(target))
+    by_rel, index = target._match_state
 
     remaining = list(atoms)
     base: Homomorphism = dict(seed) if seed else {}
@@ -635,24 +635,27 @@ def _is_fg(t: TGD) -> bool:
     return any(frontier <= set(a.variables) for a in t.body)
 
 
-def _is_connected(t: TGD) -> bool:
-    atoms = list(t.body)
-    if len(atoms) <= 1:
-        return True
-    # atoms are linked when they share a variable; 0-ary atoms stay isolated
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(atoms)):
-            if j not in reached and set(atoms[i].variables) & set(atoms[j].variables):
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == len(atoms)
+T = TypeVar("T")
 
 
-def _is_connected_egd(e: EGD) -> bool:
-    return _is_connected(TGD(e.body, (HeadDisjunct((), e.body[:1]),))) if e.body else True
+def components(items: Sequence[T], keys: Callable[[T], Iterable[Hashable]]) -> List[List[T]]:
+    """Split `items` into the classes linked by shared keys, keeping the
+    order of `items` within and across classes; an item without keys is a
+    class of its own."""
+    classes: List[Tuple[Set[Hashable], List[int]]] = []  # keys, item indexes
+    for i, x in enumerate(items):
+        ks, members = set(keys(x)), [i]
+        for joined in [c for c in classes if c[0] & ks]:
+            classes.remove(joined)
+            ks |= joined[0]
+            members += joined[1]
+        classes.append((ks, members))
+    classes.sort(key=lambda c: min(c[1]))
+    return [[items[j] for j in sorted(members)] for _, members in classes]
+
+
+def _is_connected(atoms: Sequence[Atom]) -> bool:
+    return len(components(atoms, lambda a: a.variables)) <= 1
 
 
 def require_empty_collapse(c: ConstraintSet) -> None:

@@ -99,10 +99,6 @@ class Verdict:
     reason: str = ""
     certificate: Optional[Certificate] = None
 
-    @property
-    def known(self) -> bool:
-        return self.value is not None
-
 
 def _tree_stats(tree: ChaseTree) -> ChaseExhausted:
     return ChaseExhausted(
@@ -221,7 +217,8 @@ def decide_owq(q: UCQ, c: ConstraintSet, i: Instance, b: ChaseBudget) -> Verdict
     if eval_ucq(q, res.instance) is True:
         return Verdict(True, certificate=ClassExact("chase derived the query"))
     if res.status == EGD_FAILURE:
-        return Verdict(True, reason="no superset of the instance satisfies the constraints")
+        return Verdict(True, reason="no superset of the instance satisfies the constraints",
+                       certificate=ClassExact("chase clashed two constants"))
     if res.status == SATURATED:
         return Verdict(False, certificate=Witness(ground_nulls(res.instance), polarity=False))
     return Verdict(None, reason="chase budget exhausted before saturation")

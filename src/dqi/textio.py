@@ -45,6 +45,7 @@ from .core import (
     UCQ,
     Value,
     Var,
+    value_name,
 )
 
 HEADER = "dqi-1"
@@ -140,10 +141,6 @@ class _Parser:
         t = self.peek()
         return t is not None and t.text == text
 
-    def error(self, msg: str) -> ParseError:
-        t = self.peek() or (self.toks[-1] if self.toks else _Tok("", "", 1, 1))
-        return ParseError(msg, t.line, t.col)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -237,9 +234,8 @@ def _parse_term(p: _Parser) -> Term:
     raise ParseError(f"expected term, found {t.text!r}", t.line, t.col)
 
 
-def _parse_atom(p: _Parser, head_name: Optional[str] = None) -> Atom:
-    name = p.next() if head_name is None else None
-    rel = head_name if head_name is not None else name.text  # type: ignore[union-attr]
+def _parse_atom(p: _Parser) -> Atom:
+    rel = p.next().text
     p.expect("(")
     args: List[Term] = []
     while not p.at(")"):
@@ -406,16 +402,16 @@ def _term_text(t: Term) -> str:
     return _const_text(t.name)
 
 
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _const_text(name: str) -> str:
-    if _LOWER_NAME.match(name):
-        return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return name if _LOWER_NAME.match(name) else _quoted(name)
 
 
 def _value_text(v: Value) -> str:
-    if isinstance(v, Null):
-        return f"?{v.id}"
-    return v.name if _LOWER_NAME.match(v.name) else _const_text(v.name)
+    return value_name(v) if isinstance(v, Null) else _const_text(v.name)
 
 
 def _atom_text(a: Atom) -> str:
@@ -472,17 +468,11 @@ def serialize(p: ProblemFile) -> str:
 
 
 def _fo_value(v: Value) -> str:
-    if isinstance(v, Null):
-        return f'"?{v.id}"'
-    return _fo_const(v.name)
-
-
-def _fo_const(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _quoted(value_name(v))
 
 
 def _fo_term(t: Term) -> str:
-    return t.name if isinstance(t, Var) else _fo_const(t.name)
+    return t.name if isinstance(t, Var) else _quoted(t.name)
 
 
 def _fo_atom(a: Atom) -> str:

@@ -13,12 +13,15 @@ from dqi.chase import (
     EGD_FAILURE,
     LEAF,
     SATURATED,
+    FactType,
+    TypeEdge,
     _patterns,
     canon_pattern,
     chase_vis_critical,
     classical_chase,
     decide_owq_atomic_linear,
     decide_pqi_critical_linear,
+    fact_type_closure,
     visible_chase,
 )
 from dqi.core import (
@@ -213,6 +216,59 @@ def test_decide_pqi_critical_linear_matches_bounded_search(seed):
         pass
     if exp.answer is False:
         assert got is False
+
+
+def test_decide_pqi_critical_linear_agrees_with_the_saturated_critical_chase():
+    answers = {True: 0, False: 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = random_schema(rng, max_relations=4, max_arity=3)
+        c = random_linear_constraints(rng, s, max_deps=4)
+        q = random_boolean_query(rng, s, max_atoms=4)
+        res = chase_vis_critical(c, s, Const("a"), ChaseBudget(max_depth=60))
+        if res.status != SATURATED:
+            continue
+        got = decide_pqi_critical_linear(q, c, s)
+        assert got is (eval_ucq(q, res.instance) is True), seed
+        answers[got] += 1
+    assert answers[True] >= 100 and answers[False] >= 100
+
+
+def test_fact_type_closure_forces_through_a_hidden_fact_and_collapses():
+    # V(a) gives H(a, n); H copies n into the hidden G, and G into the
+    # visible W, so grounding forces n to a: H's stable type is H(a, a),
+    # which enables the repeated-variable body H(x, x).  J's null is never
+    # copied into a visible fact and stays a group.
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 2, False), RelationDecl("G", 1, False),
+                RelationDecl("K", 1, False), RelationDecl("J", 2, False)))
+    x, y = Var("x"), Var("y")
+
+    def tgd(body, head, exist=()):
+        return TGD((body,), (HeadDisjunct(exist, (head,)),))
+
+    c = ConstraintSet((
+        tgd(Atom("V", (x,)), Atom("H", (x, y)), (y,)),
+        tgd(Atom("H", (x, y)), Atom("G", (y,))),
+        tgd(Atom("G", (x,)), Atom("W", (x,))),
+        tgd(Atom("H", (x, x)), Atom("K", (x,))),
+        tgd(Atom("V", (x,)), Atom("J", (x, y)), (y,)),
+    ))
+    closure = fact_type_closure(c, s)
+    v, w, g, k = (FactType(r, (A_MARK,)) for r in "VWGK")
+    h, j = FactType("H", (A_MARK, A_MARK)), FactType("J", (A_MARK, 1))
+    assert closure.reachable == {v, w, h, g, k, j}
+    assert closure.edges == {
+        v: [TypeEdge(v, 0, h, ()), TypeEdge(v, 4, j, ())],
+        h: [TypeEdge(h, 1, g, ()), TypeEdge(h, 3, k, ())],
+        g: [TypeEdge(g, 2, w, ())],
+    }
+    a = Const("a")
+    res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED
+    assert res.instance.facts_of("H") == (Fact("H", (a, a)),)
+    assert decide_pqi_critical_linear(boolean_ucq([Atom("K", (x,))]), c, s)
+    assert not decide_pqi_critical_linear(boolean_ucq([Atom("J", (x, x))]), c, s)
 
 
 # ---------------------------------------------------------------------------

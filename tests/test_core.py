@@ -10,6 +10,7 @@ from dqi.core import (
     CName,
     Const,
     ConstraintSet,
+    EGD,
     Fact,
     HeadDisjunct,
     Instance,
@@ -26,6 +27,7 @@ from dqi.core import (
     boolean_ucq,
     canonical_db,
     canonical_query,
+    components,
     critical_instance,
     eval_ucq,
     find_homomorphisms,
@@ -267,8 +269,20 @@ def test_classify_connected_bodies():
         TGD((Atom("S", (Var("x"),)), Atom("S", (Var("y"),))),
             (HeadDisjunct((), (Atom("R", (Var("x"), Var("y"))),)),)),
     ))
+    disconnected_egd = ConstraintSet(connected.dependencies + (
+        EGD((Atom("S", (Var("x"),)), Atom("S", (Var("y"),))), Var("x"), Var("y")),
+    ))
     assert CONNECTED_TAG in connected.tags
     assert CONNECTED_TAG not in disconnected.tags
+    assert CONNECTED_TAG not in disconnected_egd.tags
+
+
+def test_components_link_items_through_shared_keys():
+    items = ["ab", "c", "", "bd", "ce", "f"]
+    assert components(items, set) == [["ab", "bd"], ["c", "ce"], [""], ["f"]]
+    # a late item joins two earlier classes, which keep the order of items
+    assert components(["a", "b", "c", "ab"], set) == [["a", "b", "ab"], ["c"]]
+    assert components([], set) == []
 
 
 # ---------------------------------------------------------------------------

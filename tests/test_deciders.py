@@ -112,6 +112,17 @@ def test_owq_fixture(separation, budget):
     assert r.value is False
 
 
+def test_owq_is_vacuously_true_when_the_chase_clashes_two_constants(budget):
+    pf = parse("dqi-1\nschema { visible R/2; hidden S/1; }\n"
+               "constraints { R(x,y) & R(x,z) -> y = z; }\n"
+               "query Q { exists x. S(x) }\ninstance I { R(a,b). R(a,c). }\n")
+    q, c, i = pf.queries["Q"], pf.constraints, pf.instances["I"]
+    r = decide_owq(q, c, i, budget)
+    assert r.value is True
+    assert r.certificate == ClassExact("chase clashed two constants")
+    audit(r, q, c, i)
+
+
 def test_realizable_fixture(controllability, budget):
     r = decide_realizable(controllability.constraints, controllability.schema,
                           controllability.instances["V"], budget)
