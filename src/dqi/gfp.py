@@ -29,22 +29,23 @@ the method: stage 1 runs unless they are inclusion dependencies without
 constants.  Then it runs stage 2 and prunes the program's maximal database
 to the largest sub-instance that genuinely satisfies the constraints, which
 makes the final answer independent of how tightly the rule bodies
-approximate the constraints.  That pruning runs in two phases over one
-worklist of facts, each explored once (the local fixpoint of Liu & Smolka,
-ICALP 1998).  Phase 1 explores only what the visible facts and the query
+approximate the constraints.  That pruning runs in two phases.  Phase 1
+explores, over a worklist, only what the visible facts and the query
 matches reach through supports, with the maximal database queried one head
-atom at a time; a True answer, where a visible fact or every query match
-dies, needs nothing more.  Phase 2, for a False answer, explores the rest of
-the maximal database's hidden facts, enumerated one relation at a time, and
-prunes them all, so the witness is the whole largest model.  Every pruning
-is one support-counting deletion pass, ``_prune_unsupported``.
+atom at a time (the local fixpoint of Liu & Smolka, ICALP 1998); a True
+answer, where a visible fact or every query match dies, needs nothing more.
+Phase 2, for a False answer, enumerates the maximal database's hidden facts
+once, looks every support up in an index of them by position, and resumes
+the pruning on the facts that phase 1 did not explore, with no worklist; the
+witness is the whole largest model.  Every pruning is one support-counting
+deletion pass, ``_prune_unsupported``.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Atom,
@@ -592,9 +593,12 @@ class _MaximalDatabase:
             and len(set(r.head.args)) == len(r.head.args)
             and set(r.head.args) <= {x for a in ext_atoms for x in a.variables}
         }
-        # the rules with their extensional atoms, by head relation
+        # the rules with their extensional atoms, by head relation; a head
+        # constant outside the domain makes a rule derive nothing
         self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
         for r, ext_atoms in feasible:
+            if any(isinstance(t, CName) and Const(t.name) not in self.domain_set for t in r.head.args):
+                continue
             gained: List[Atom] = []
             for n, a in enumerate(r.body):
                 if a.relation not in unfold or a.relation == r.head.relation:
@@ -613,25 +617,34 @@ class _MaximalDatabase:
               seed: Mapping[Var, Value] = {}) -> Set[Fact]:
         """Every fact, or with `atom` only those it matches under `seed`: each
         rule for its relation then runs with the head positions that `atom`
-        binds as the seed of its extensional match."""
+        binds as the seed of its extensional match.
+
+        Values that the extensional match binds lie in the domain, so only
+        the seeded values are checked against it, once per rule, and an atom
+        of distinct variables that `seed` leaves unbound matches every fact
+        of its relation."""
         if atom is None:
             rules = [rule for rs in self.rules.values() for rule in rs]
         else:
             rules = self.rules.get(atom.relation, [])
+        whole = atom is None or (
+            len(set(atom.args)) == len(atom.args)
+            and all(isinstance(t, Var) and t not in seed for t in atom.args)
+        )
         out: Set[Fact] = set()
         for head, ext_atoms in rules:
             bound = {} if atom is None else _bind_head(head, atom, seed)
-            if bound is None:
+            if bound is None or any(val not in self.domain_set for val in bound.values()):
                 continue
+            head_vars = head.variables
             for h in find_homomorphisms(ext_atoms, self.ext, seed=bound):
-                free = [x for x in head.variables if x not in h]
+                free = [x for x in head_vars if x not in h]
                 for combo in itertools.product(self.domain, repeat=len(free)):
-                    m = dict(h)
-                    m.update(zip(free, combo))
-                    fact = apply_hom((head,), m)[0]
-                    if all(v in self.domain_set for v in fact.args) and (
-                        atom is None or match_fact(atom, fact, seed) is not None
-                    ):
+                    m = {**h, **dict(zip(free, combo))} if combo else h
+                    fact = Fact(head.relation, tuple(
+                        m[t] if isinstance(t, Var) else Const(t.name) for t in head.args
+                    ))
+                    if whole or match_fact(atom, fact, seed) is not None:
                         out.add(fact)
         return out
 
@@ -654,6 +667,67 @@ def _bind_head(head: Atom, atom: Atom, seed: Mapping[Var, Value]) -> Optional[Di
 
 
 Support = Tuple[Fact, ...]
+
+
+def _plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optional[Tuple[Value, ...]]]:
+    """`atom` compiled into positions: a function from a fact of its
+    relation to the fact's values at the first positions of `keys`, or None
+    when a constant or a repeated variable of `atom` disagrees with it."""
+    first: Dict[Var, int] = {}
+    consts: List[Tuple[int, Const]] = []
+    equal: List[Tuple[int, int]] = []
+    for i, t in enumerate(atom.args):
+        if isinstance(t, CName):
+            consts.append((i, Const(t.name)))
+        elif first.setdefault(t, i) != i:
+            equal.append((i, first[t]))
+    positions = [first[x] for x in keys]
+
+    def key(fact: Fact) -> Optional[Tuple[Value, ...]]:
+        args = fact.args
+        if any(args[i] != c for i, c in consts) or any(args[i] != args[j] for i, j in equal):
+            return None
+        return tuple(args[i] for i in positions)
+
+    return key
+
+
+def _support_lookup(
+    body: Atom, heads: Sequence[HeadDisjunct], facts_of: Mapping[str, Sequence[Fact]]
+) -> Callable[[Fact], Optional[List[Support]]]:
+    """One trigger compiled into positions, as a function from a fact of the
+    body's relation to its supports among `facts_of` (facts by relation),
+    or None when `body` does not match the fact.
+
+    A support is a fact that matches a head disjunct's atom where the
+    disjunct's frontier variables take the body fact's values, or the empty
+    support of an empty disjunct.  Each disjunct's facts are indexed by the
+    values at their frontier positions, so a lookup is one dict access per
+    disjunct (the compiled trigger lookup of ChaseBench-style engines,
+    Benedikt et al., PODS 2017)."""
+    body_vars = set(body.variables)
+    body_matches = _plan(body)
+    indexed = []
+    for d in heads:
+        if not d.atoms:
+            indexed.append((body_matches, {(): [()]}))
+            continue
+        (head,) = d.atoms
+        frontier = [x for x in head.variables if x in body_vars and x not in d.exist_vars]
+        head_key = _plan(head, frontier)
+        index: Dict[Tuple[Value, ...], List[Support]] = {}
+        for f in facts_of.get(head.relation, ()):
+            k = head_key(f)
+            if k is not None:
+                index.setdefault(k, []).append((f,))
+        indexed.append((_plan(body, frontier), index))
+
+    def lookup(fact: Fact) -> Optional[List[Support]]:
+        if body_matches(fact) is None:
+            return None
+        return [m for body_key, index in indexed for m in index.get(body_key(fact), ())]
+
+    return lookup
 
 
 def _prune_unsupported(
@@ -735,20 +809,23 @@ def _largest_model(
 ) -> Optional[Instance]:
     """The largest sub-instance of the program's maximal database with
     visible part `v` that satisfies every constraint, or None when there is
-    none or it falsifies the query.  The TGD bodies and heads must be
-    single atoms.
+    none or it falsifies the query.  The TGD bodies and head disjuncts must
+    be single atoms; a head disjunct may also be empty.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
     facts matching the head of each disjunct are its supports: from `v` for
-    a visible head, from the maximal database queried at the trigger's
-    values for a hidden one.  A visible fact cannot be deleted: losing one
-    means no instance extends `v`.
+    a visible head, from the maximal database for a hidden one.  A visible
+    fact cannot be deleted: losing one means no instance extends `v`.
 
     Whether a fact survives depends only on the facts it reaches through
-    supports, so phase 1 explores and prunes the closure of the visible
-    facts and the query matches alone, and decides a None answer there.
-    Otherwise phase 2 explores the rest of the maximal database and prunes
-    it all, giving the whole largest model as the witness.
+    supports.  So phase 1 explores the closure of the visible facts and the
+    query matches alone, querying the maximal database at each trigger's
+    values, prunes it, and decides a None answer there.  That closure holds
+    every support of its facts, so its survivors and its deleted facts are
+    final.  Otherwise phase 2 enumerates the maximal database's hidden facts
+    once, indexes them by position (`_support_lookup`), and prunes only the
+    facts that phase 1 did not explore, giving the whole largest model as
+    the witness.
     """
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
     maxdb = _MaximalDatabase(program, v)
@@ -779,46 +856,57 @@ def _largest_model(
             for more in matches(rest, match_fact(atom, f, seed)):  # type: ignore[arg-type]
                 yield (f,) + more
 
-    explored: Set[Fact] = set()
-    obligations: List[Tuple[Fact, List[Support]]] = []
-
-    def explore(roots: Iterable[Fact]) -> Set[Fact]:
-        """Add the obligations of every fact that the roots reach through
-        supports, and prune everything explored so far."""
-        worklist = list(roots)
-        while worklist:
-            fact = worklist.pop()
-            if fact in explored:
-                continue
-            explored.add(fact)
-            for body, heads in triggers.get(fact.relation, ()):
-                h = match_fact(body, fact, {})
-                if h is None:
-                    continue
-                supports = [
-                    m
-                    for d in heads
-                    for m in matches(d.atoms, {x: val for x, val in h.items() if x not in d.exist_vars})
-                ]
-                obligations.append((fact, supports))
-                worklist.extend(g for support in supports for g in support)
-        return _prune_unsupported(set(explored), obligations)
-
-    # visible atoms first, so that they bind the hidden lookups
+    # phase 1: the support closure of the visible facts and the query
+    # matches, visible query atoms first so that they bind the hidden lookups
     query_matches = [
         set(m)
         for d in q.disjuncts
         for m in matches(sorted(d.atoms, key=lambda a: a.relation in hidden), {})
     ]
-    alive = explore(itertools.chain(v.facts, *query_matches))
+    explored: Set[Fact] = set()
+    obligations: List[Tuple[Fact, List[Support]]] = []
+    worklist = list(itertools.chain(v.facts, *query_matches))
+    while worklist:
+        fact = worklist.pop()
+        if fact in explored:
+            continue
+        explored.add(fact)
+        for body, heads in triggers.get(fact.relation, ()):
+            h = match_fact(body, fact, {})
+            if h is None:
+                continue
+            supports = [
+                m
+                for d in heads
+                for m in matches(d.atoms, {x: val for x, val in h.items() if x not in d.exist_vars})
+            ]
+            obligations.append((fact, supports))
+            worklist.extend(g for support in supports for g in support)
+    alive = _prune_unsupported(set(explored), obligations)
     if not (v.facts <= alive and any(m <= alive for m in query_matches)):
         return None
-    alive = explore(
-        f
+
+    # phase 2: the other hidden facts, whose supports lie in phase 1's
+    # survivors (which hold `v`) and in these facts themselves
+    rest = set().union(*(
+        maxdb.facts(Atom(r.name, tuple(Var(f"x{i}") for i in range(r.arity))))
         for r in s.hidden_relations
-        for f in maxdb.facts(Atom(r.name, tuple(Var(f"x{i}") for i in range(r.arity))))
-    )
-    return Instance(s, frozenset(alive))
+    )) - explored
+    facts_of: Dict[str, List[Fact]] = {}
+    for f in itertools.chain(alive, rest):
+        facts_of.setdefault(f.relation, []).append(f)
+    lookups = {
+        rel: [_support_lookup(body, heads, facts_of) for body, heads in triggers.get(rel, ())]
+        for rel in {f.relation for f in rest}
+    }
+    obligations = [
+        (f, supports)
+        for f in rest
+        for lookup in lookups[f.relation]
+        for supports in [lookup(f)]
+        if supports is not None
+    ]
+    return Instance(s, frozenset(alive | _prune_unsupported(rest, obligations)))
 
 
 def nqi_gfp_detail(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from dqi.core import (
     boolean_ucq,
     eval_ucq,
     find_homomorphisms,
+    fact_key,
     head_matches,
+    match_fact,
     satisfies,
 )
 from dqi import gfp
@@ -35,6 +38,7 @@ from dqi.gfp import (
     _MaximalDatabase,
     _largest_model,
     _prune_unsupported,
+    _support_lookup,
     build_gfp_program,
     eval_gfp,
     nqi_gfp_detail,
@@ -43,6 +47,7 @@ from dqi.gfp import (
 )
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi
 from dqi.problemgen import (
+    random_digraph,
     random_id_problem,
     random_linear_problem,
     reachability_problem,
@@ -461,6 +466,13 @@ def test_largest_model_matches_the_full_pass(monkeypatch):
             nqi_gfp_detail(*gen(rng))
         except ClassError:
             pass
+    # the reachability encoding has the _aux_h heads and the unfolded T
+    # relation that the random generators never produce; the reference
+    # holds all |domain|^5 _aux_h1 tuples (20 s for one 5-node graph), so
+    # the graphs stay at 3 nodes
+    for seed in range(10):
+        nodes, edges, source, target = random_digraph(random.Random(seed), max_nodes=3)
+        nqi_gfp_detail(*reachability_problem(nodes, edges, source, target))
     # disjunctive heads reach the pass only directly
     for seed in range(40):
         q, c, s, v = random_linear_problem(random.Random(seed), max_heads=2,
@@ -471,3 +483,64 @@ def test_largest_model_matches_the_full_pass(monkeypatch):
             pass
     assert outcomes.count(True) > 40 and outcomes.count(False) > 40
 
+
+def test_false_answer_makes_no_seeded_lookup_after_the_enumeration(monkeypatch):
+    # phase 2 enumerates the hidden facts and looks every support up in an
+    # index, so once the first lookup that binds nothing has run, no lookup
+    # binds a variable
+    binds: List[bool] = []
+    look_up = _MaximalDatabase.facts
+
+    def facts(self, atom=None, seed={}):
+        binds.append(atom is not None
+                     and not all(isinstance(t, Var) and t not in seed for t in atom.args))
+        return look_up(self, atom, seed)
+
+    monkeypatch.setattr(_MaximalDatabase, "facts", facts)
+    q, c, s, v = reachability_problem(["n0", "n1", "n2"], [("n0", "n2")], "n0", "n2")
+    assert nqi_gfp_detail(q, c, s, v)[0] is False
+    first = binds.index(False)
+    assert any(binds[:first]), "phase 1 looks the query's T atom up by its bound values"
+    assert binds[first:].count(True) == 0
+
+
+_k = CName("k")
+_u = Var("u")
+
+
+@pytest.mark.parametrize("body,heads", [
+    (Atom("B", (_x, _y, _z)), (HeadDisjunct((), (Atom("H", (_x, _k, _z)),)),)),
+    (Atom("B", (_x, _y, _z)), (HeadDisjunct((), (Atom("H", (_x, _x, _y)),)),)),
+    (Atom("B", (_x, _y, _z)), (HeadDisjunct((_u,), (Atom("H", (_u, _u, _x)),)),)),
+    (Atom("B", (_x, _x, _k)), (HeadDisjunct((_u,), (Atom("H", (_u, _x, _x)),)),
+                               HeadDisjunct((), (Atom("H", (_x, _k, _x)),)))),
+    (Atom("B", (_x, _y, _z)), (HeadDisjunct((), ()),)),
+    (Atom("B", (_k, _y, _y)), ()),
+], ids=["head-constant", "repeated-frontier-variable", "repeated-existential-variable",
+        "body-constant-and-two-disjuncts", "empty-disjunct", "forced-empty-copy"])
+def test_support_lookup_agrees_with_match_fact(body, heads):
+    # every fact over {a, b, k} of the body and head relations: the
+    # compiled lookup gives exactly the supports that matching the head
+    # atom under the body fact's frontier values gives
+    values = (Const("a"), Const("b"), Const("k"))
+    facts_of = {rel: [Fact(rel, args) for args in itertools.product(values, repeat=3)]
+                for rel in ("B", "H")}
+    lookup = _support_lookup(body, heads, facts_of)
+    found = 0
+    for fact in facts_of["B"]:
+        h = match_fact(body, fact, {})
+        got = lookup(fact)
+        if h is None:
+            assert got is None
+            continue
+        want: List[tuple] = []
+        for d in heads:
+            seed = {x: val for x, val in h.items() if x not in d.exist_vars}
+            if not d.atoms:
+                want.append(())
+                continue
+            want.extend((g,) for g in facts_of["H"] if match_fact(d.atoms[0], g, seed) is not None)
+        key = lambda support: [fact_key(g) for g in support]
+        assert sorted(got, key=key) == sorted(want, key=key)
+        found += len(got)
+    assert found > 0 or not heads
