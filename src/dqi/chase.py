@@ -22,6 +22,15 @@ EGD trigger identifies two values or clashes two constants.  Around it:
 The classical and critical chases run the same single-branch loop,
 `_chase_branch`; the visible chase builds its tree in its own loop.
 
+Both loops are semi-naive.  After the root, each instance is compared with
+the one its triggers were last discovered over, and only the delta (the
+facts that instance lacked, `_delta`) is matched: discovery queues the
+body matches that use a delta fact (`_Triggers`), in the order a full
+rematch would queue them, and the Boolean query that stops a branch
+(`tripwire`, `prune`) is searched only among the matches that use one
+(`_query_holds`), since it failed on the earlier instance.  TGD steps,
+groundings and EGD merges all go through the same delta.
+
 Plus fact types for constant-free linear TGDs: a relation with the
 equality pattern of its values, kept canonical by `canon_pattern` and
 enumerated by `_patterns`; these and the term binder `bind_pattern` also
@@ -33,8 +42,9 @@ to its stable type, the one its facts end up with once grounding has
 forced their nulls to `a`, and runs that loop from the critical instance
 over stable types; `decide_pqi_critical_linear` embeds each query image
 into the resulting forest, one component of null-linked facts
-(`core.components`) at a time, which decides query implication over the
-critical instance without materializing an unbounded chase.
+(`core.components`) at a time, in a search memoised on its states
+(`_Forest`), which decides query implication over the critical instance
+without materializing an unbounded chase.
 `decide_owq_atomic_linear` runs the loop from the types of a given
 instance to answer atomic queries open-world.
 """
@@ -75,8 +85,11 @@ from .core import (
     apply_hom,
     components,
     critical_instance,
+    eval_ucq,
+    fact_key,
     find_homomorphisms,
     map_instance,
+    match_fact,
     satisfies,
     value_key,
     value_name,
@@ -153,21 +166,83 @@ def _merge_map(u: Value, v: Value) -> Mapping[Value, Value]:
     return {v: u}
 
 
+def _delta(last: Optional[Instance], instance: Instance) -> Optional[List[Fact]]:
+    """The facts of `instance` that `last` lacks, in `fact_key` order; None
+    when there is no earlier instance, at the root of a chase."""
+    if last is None:
+        return None
+    return sorted(instance.facts - last.facts, key=fact_key)
+
+
+def _new_matches(body: Sequence[Atom], instance: Instance,
+                 delta: Optional[Sequence[Fact]]) -> Iterable[Homomorphism]:
+    """Every body match of `instance` that may use a fact of `delta`, in
+    `find_homomorphisms` order (all of them without a delta).
+
+    A one-atom body matches the delta's facts of its relation, which
+    `find_homomorphisms` would yield in this `fact_key` order too; a longer
+    body is matched in full, and only when the delta has one of its
+    relations."""
+    if delta is None:
+        return find_homomorphisms(body, instance)
+    if len(body) == 1:
+        matches = (match_fact(body[0], f, {}) for f in delta)
+        return (m for m in matches if m is not None)
+    relations = {a.relation for a in body}
+    if any(f.relation in relations for f in delta):
+        return find_homomorphisms(body, instance)
+    return ()
+
+
+def _query_holds(q: UCQ, instance: Instance, delta: Optional[Sequence[Fact]]) -> bool:
+    """Does the Boolean query hold on `instance`?
+
+    With a delta, the query failed on the earlier instance.  A match that
+    avoids the delta maps into facts the earlier instance had, so the query
+    holds exactly when some match uses a delta fact: each atom is seeded
+    with each delta fact and the rest of its disjunct matched."""
+    if delta is None:
+        if q.free_vars:
+            raise ClassError("the query stop requires a Boolean query")
+        return eval_ucq(q, instance) is True
+    for d in q.disjuncts:
+        for i, atom in enumerate(d.atoms):
+            rest = d.atoms[:i] + d.atoms[i + 1:]
+            for f in delta:
+                seed = match_fact(atom, f, {})
+                if seed is not None and next(find_homomorphisms(rest, instance, seed), None) is not None:
+                    return True
+    return False
+
+
 class _Triggers:
-    """FIFO queue of (dependency, body homomorphism) pairs for one branch."""
+    """FIFO queue of (dependency, body homomorphism) pairs for one branch.
+
+    Discovery is semi-naive.  `last` is the instance the queue last
+    discovered over, and `seen` holds every body match of it, renamed by
+    `remap` through later merges and groundings.  A renamed value occurs
+    in no fact of the next instance, so a match there that avoids the
+    delta (the facts `last` lacks) was a match of `last`, and its key is in
+    `seen`: discovery matches only what may use the delta.
+    """
 
     def __init__(self, pending: Optional[List[Tuple[int, Homomorphism]]] = None,
-                 seen: Optional[Set[Tuple]] = None):
+                 seen: Optional[Set[Tuple]] = None, last: Optional[Instance] = None):
         self.pending: deque = deque(pending or [])
         self.seen: Set[Tuple] = set(seen or ())
+        self.last = last
 
-    def discover(self, deps: Sequence[Dependency], instance: Instance) -> None:
+    def discover(self, deps: Sequence[Dependency], instance: Instance,
+                 delta: Optional[Sequence[Fact]]) -> None:
+        """Queue the new triggers of `instance`; `delta` is
+        `_delta(self.last, instance)`."""
         for idx, dep in enumerate(deps):
-            for hom in find_homomorphisms(dep.body, instance):
+            for hom in _new_matches(dep.body, instance, delta):
                 key = (idx, frozenset(hom.items()))
                 if key not in self.seen:
                     self.seen.add(key)
                     self.pending.append((idx, hom))
+        self.last = instance
 
     def fire_next(self, deps: Sequence[Dependency], instance: Instance,
                   nulls: NullSource) -> Optional[List[Outcome]]:
@@ -182,7 +257,7 @@ class _Triggers:
         return None
 
     def copy(self) -> "_Triggers":
-        return _Triggers(list(self.pending), set(self.seen))
+        return _Triggers(list(self.pending), set(self.seen), self.last)
 
     def remap(self, value_map: Mapping[Value, Value]) -> "_Triggers":
         pending = []
@@ -192,7 +267,7 @@ class _Triggers:
             pending.append((idx, hom2))
         for idx, items in self.seen:
             seen.add((idx, frozenset((v, value_map.get(val, val)) for v, val in items)))
-        return _Triggers(pending, seen)
+        return _Triggers(pending, seen, self.last)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +279,15 @@ def _chase_branch(
     c: ConstraintSet,
     b: ChaseBudget,
     ground: Optional[Callable[[Sequence[Fact]], Mapping[Value, Value]]] = None,
-    tripwire: Optional[Callable[[Instance], bool]] = None,
+    tripwire: Optional[UCQ] = None,
 ) -> ChaseResult:
     """Chase one branch from `start` with fair FIFO scheduling.
 
     `ground` maps values of a step's new facts (a forced grounding: the
     branch never chooses).  The branch may take `b.max_depth` steps; one
     more, or more than `b.max_facts` facts, ends it with BUDGET and the
-    instance that step produced.  `tripwire` stops the chase as soon as a
-    monotone condition holds.
+    instance that step produced.  The Boolean query `tripwire` stops the
+    chase as soon as it holds.
     """
     deps = c.dependencies
     nulls = NullSource.above(start)
@@ -220,9 +295,10 @@ def _chase_branch(
     triggers = _Triggers()
     steps = 0
     while True:
-        if tripwire is not None and tripwire(current):
+        delta = _delta(triggers.last, current)
+        if tripwire is not None and _query_holds(tripwire, current, delta):
             return ChaseResult(SATURATED if satisfies(c, current) else BUDGET, current)
-        triggers.discover(deps, current)
+        triggers.discover(deps, current, delta)
         outcomes = triggers.fire_next(deps, current, nulls)
         if outcomes is None:
             return ChaseResult(SATURATED, current)
@@ -242,10 +318,10 @@ def _chase_branch(
 
 
 def classical_chase(i: Instance, c: ConstraintSet, b: ChaseBudget,
-                    tripwire: Optional[Callable[[Instance], bool]] = None) -> ChaseResult:
+                    tripwire: Optional[UCQ] = None) -> ChaseResult:
     """Restricted chase with fair FIFO scheduling.
 
-    `tripwire` lets a caller stop as soon as a monotone condition holds
+    The Boolean query `tripwire` lets a caller stop as soon as it holds
     (the result then carries the current instance with status saturated
     only if it genuinely is).
     """
@@ -355,12 +431,12 @@ def visible_chase(
     s: Schema,
     f0: Instance,
     b: ChaseBudget,
-    prune: Optional[Callable[[Instance], bool]] = None,
+    prune: Optional[UCQ] = None,
 ) -> ChaseTree:
     """Build the visible chase tree from the visible instance `f0`.
 
-    `prune` marks a branch as settled once a monotone predicate holds on
-    its instance (sound for query implication because homomorphic images
+    `prune` marks a branch as settled once the Boolean query holds on its
+    instance (sound for query implication because homomorphic images
     preserve the query).
     """
     visible_part = f0.visible()
@@ -385,15 +461,16 @@ def visible_chase(
         node = nodes[frontier.popleft()]
         if node.status != OPEN:
             continue
-        if prune is not None and prune(node.instance):
+        triggers = node._triggers or _Triggers()
+        node._triggers = None
+        delta = _delta(triggers.last, node.instance)
+        if prune is not None and _query_holds(prune, node.instance, delta):
             node.status = PRUNED
             continue
         if node.depth >= b.max_depth or len(node.instance.facts) > b.max_facts:
             node.status = BUDGET_CUT
             continue
-        triggers = node._triggers or _Triggers()
-        node._triggers = None
-        triggers.discover(deps, node.instance)
+        triggers.discover(deps, node.instance, delta)
         outcomes = triggers.fire_next(deps, node.instance, nulls)
         node.status = LEAF if outcomes is None else EXPANDED
         for step, image, new_facts, merge in outcomes or ():
@@ -584,20 +661,29 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
     group of `stable[t]` is forced when a linear TGD copies it into a
     visible fact, or into a position that is `a` in the stable type of the
     hidden fact it produces.  Forcing collapses patterns, which can enable
-    more unifications, so repeat over every type (derivations may start
+    more unifications, so sweep over every type (derivations may start
     anywhere) until no stable type changes; then collect the stable types
-    reachable from the critical instance.
+    reachable from the critical instance.  A sweep revisits only the dirty
+    types, those whose last visit read a `stable` entry that has changed
+    since: a clean type would force nothing again, so the sweeps change
+    `stable` exactly as full rescans would.
     """
     linear = _linear_tgds(c)
     types = [FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)]
     stable: Dict[FactType, FactType] = {t: t for t in types}
-    changed = True
-    while changed:
-        changed = False
+    readers: Dict[FactType, Set[FactType]] = {t: {t} for t in types}  # who read stable[key]
+    dirty = set(types)
+    by_body: Dict[str, List[TGD]] = {}
+    for _, dep in linear:
+        by_body.setdefault(dep.body[0].relation, []).append(dep)
+    while dirty:
         for t in types:
+            if t not in dirty:
+                continue
+            dirty.discard(t)
             st = stable[t]
             forced: Set[int] = set()
-            for _, dep in linear:
+            for dep in by_body.get(st.relation, ()):
                 res = _apply_linear(dep, st)
                 if res is None:
                     continue
@@ -605,12 +691,13 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
                 if s.decl(target.relation).visible:
                     forced.update(g for g, _ in corr)
                 else:
+                    readers[target].add(t)
                     marked = {raw for raw, e in zip(target.pattern, stable[target].pattern) if e == A_MARK}
                     forced.update(g for g, g2 in corr if g2 in marked)
             if forced:
                 entries = [A_MARK if e in forced else e for e in st.pattern]
                 stable[t] = stable[FactType(st.relation, canon_pattern(entries))]
-                changed = True
+                dirty |= readers[t]
 
     roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
     reachable, edges = _reach(linear, roots, stable.__getitem__)
@@ -671,21 +758,22 @@ def decide_pqi_critical_linear(q: UCQ, c: ConstraintSet, s: Schema) -> bool:
     null component embeds into one subtree of the forest.
     """
     closure = fact_type_closure(c, s)
+    forest = _Forest(closure.edges)
     for disjunct in q.disjuncts:
         if disjunct.free_vars:
             raise ClassError("critical-instance decision requires Boolean queries")
-        if _disjunct_embeds(disjunct, closure):
+        if _disjunct_embeds(disjunct, closure, forest):
             return True
     return False
 
 
-def _disjunct_embeds(d: CQ, closure: TypeClosure) -> bool:
+def _disjunct_embeds(d: CQ, closure: TypeClosure, forest: "_Forest") -> bool:
     if any(isinstance(t, CName) for atom in d.atoms for t in atom.args):
         return False  # constant-free setting
     variables = list(d.variables)
     for assignment in (dict(zip(variables, p)) for p in _patterns(len(variables))):
         image = [(atom.relation, tuple(assignment[t] for t in atom.args)) for atom in d.atoms]
-        if _image_realized(image, closure):
+        if _image_realized(image, closure, forest):
             return True
     return False
 
@@ -699,12 +787,12 @@ def _nulls(f: ImageFact) -> List[int]:
     return [e for e in f[1] if e != A_MARK]
 
 
-def _image_realized(image: Sequence[ImageFact], closure: TypeClosure) -> bool:
+def _image_realized(image: Sequence[ImageFact], closure: TypeClosure, forest: "_Forest") -> bool:
     if any(not _nulls(f) and FactType(*f) not in closure.reachable for f in image):
         return False
     nullish = list(dict.fromkeys(f for f in image if _nulls(f)))
     roots = sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
-    return all(any(_realize_component(root, comp, {}, closure.edges, frozenset()) for root in roots)
+    return all(any(forest.component(root, comp, {}) for root in roots)
                for comp in components(nullish, _nulls))
 
 
@@ -725,65 +813,85 @@ def _match_fact(t: FactType, fact: ImageFact, bind: Mapping[int, int]) -> Option
     return {**bind, **dict(pairs)}
 
 
-def _realize_component(
-    t: FactType,
-    pending: List[ImageFact],
-    bind: Mapping[int, int],
-    edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
-    trail: FrozenSet[Tuple],
-) -> bool:
-    """Can the pending facts be realized in the forest subtree below a node
-    of type `t`, with `bind` fixing which pattern groups carry which nulls?"""
-    state = (t, tuple(sorted(bind.items())), tuple(sorted(pending)))
-    if state in trail:
-        return False  # cycle without progress
-    trail = trail | {state}
-    # optionally pin unbound nulls to groups of this node's fact (a null
-    # shared across children must be live here), then optionally match one
-    # pending fact to the node itself
-    unbound = list(dict.fromkeys(e for f in pending for e in _nulls(f) if e not in bind))
-    free_groups = [g for g in t.groups() if g not in bind.values()]
-    for k in range(min(len(unbound), len(free_groups)) + 1):
-        for nulls_sel in itertools.combinations(unbound, k):
-            for groups_sel in itertools.permutations(free_groups, k):
-                ext = {**bind, **dict(zip(nulls_sel, groups_sel))}
-                if _spread_children(t, pending, ext, edge_by_src, trail):
-                    return True
-                for i, fact in enumerate(pending):
-                    new_bind = _match_fact(t, fact, ext)
-                    if new_bind is None:
-                        continue
-                    rest = pending[:i] + pending[i + 1:]
-                    if not rest or _spread_children(t, rest, new_bind, edge_by_src, trail):
+class _Forest:
+    """Depth-first realization of image facts in the fact-type forest of one
+    closure, memoised on its (type, binding, pending) states.
+
+    A state met again on the current search path is cut as a cycle without
+    progress: a realization that repeats a state along a path can skip the
+    repeat.  A True answer holds whatever the path, so it is kept.  A False
+    answer is kept when every cut below it returned to the state itself or
+    to a state below it, as in Tarjan's lowlink; a False that rests on a cut
+    to a state above it can change once that state is off the path.
+    """
+
+    def __init__(self, edges: Mapping[FactType, Sequence[TypeEdge]]):
+        self.edges = edges
+        self.memo: Dict[Tuple, bool] = {}
+        self.path: Dict[Tuple, int] = {}  # state -> depth on the search path
+        self.low = 0  # the shallowest depth a cut returned to
+
+    def component(self, t: FactType, pending: List[ImageFact], bind: Mapping[int, int]) -> bool:
+        """Can the pending facts be realized in the forest subtree below a
+        node of type `t`, with `bind` fixing which pattern groups carry
+        which nulls?"""
+        state = (t, tuple(sorted(bind.items())), tuple(sorted(pending)))
+        known = self.memo.get(state)
+        if known is not None:
+            return known
+        if state in self.path:
+            self.low = min(self.low, self.path[state])
+            return False
+        depth = self.path[state] = len(self.path)
+        outer, self.low = self.low, depth
+        found = self._place(t, pending, bind)
+        del self.path[state]
+        if found or self.low >= depth:
+            self.memo[state] = found
+        self.low = outer if found else min(outer, self.low)
+        return found
+
+    def _place(self, t: FactType, pending: List[ImageFact], bind: Mapping[int, int]) -> bool:
+        # optionally pin unbound nulls to groups of this node's fact (a null
+        # shared across children must be live here), then optionally match
+        # one pending fact to the node itself
+        unbound = list(dict.fromkeys(e for f in pending for e in _nulls(f) if e not in bind))
+        free_groups = [g for g in t.groups() if g not in bind.values()]
+        for k in range(min(len(unbound), len(free_groups)) + 1):
+            for nulls_sel in itertools.combinations(unbound, k):
+                for groups_sel in itertools.permutations(free_groups, k):
+                    ext = {**bind, **dict(zip(nulls_sel, groups_sel))}
+                    if self._spread(t, pending, ext):
                         return True
-    return False
+                    for i, fact in enumerate(pending):
+                        new_bind = _match_fact(t, fact, ext)
+                        if new_bind is None:
+                            continue
+                        rest = pending[:i] + pending[i + 1:]
+                        if not rest or self._spread(t, rest, new_bind):
+                            return True
+        return False
 
-
-def _spread_children(
-    t: FactType,
-    pending: List[ImageFact],
-    bind: Mapping[int, int],
-    edge_by_src: Mapping[FactType, Sequence[TypeEdge]],
-    trail: FrozenSet[Tuple],
-) -> bool:
-    """Distribute pending facts among the node's children, one child per
-    outgoing edge.  Facts linked by a null not bound at this node go to one
-    child together; a bound null survives only along a copied group."""
-    edges = edge_by_src.get(t, [])
-    parts = [pending] if len(edges) <= 1 else components(
-        pending, lambda f: [e for e in _nulls(f) if e not in bind])
-    for split in itertools.product(range(len(edges)), repeat=len(parts)):
-        by_edge: Dict[int, List[ImageFact]] = {}
-        for e_idx, part in zip(split, parts):
-            by_edge.setdefault(e_idx, []).extend(part)
-        for e_idx, part in by_edge.items():
-            corr = dict(edges[e_idx].correspondence)
-            needed = {e for f in part for e in _nulls(f)}
-            if any(g not in corr for n, g in bind.items() if n in needed):
-                break
-            child_bind = {n: corr[g] for n, g in bind.items() if g in corr}
-            if not _realize_component(edges[e_idx].target, part, child_bind, edge_by_src, trail):
-                break
-        else:
-            return True
-    return False
+    def _spread(self, t: FactType, pending: List[ImageFact], bind: Mapping[int, int]) -> bool:
+        """Distribute pending facts among the node's children, one child per
+        outgoing edge.  Facts linked by a null not bound at this node go to
+        one child together; a bound null survives only along a copied
+        group."""
+        edges = self.edges.get(t, [])
+        parts = [pending] if len(edges) <= 1 else components(
+            pending, lambda f: [e for e in _nulls(f) if e not in bind])
+        for split in itertools.product(range(len(edges)), repeat=len(parts)):
+            by_edge: Dict[int, List[ImageFact]] = {}
+            for e_idx, part in zip(split, parts):
+                by_edge.setdefault(e_idx, []).extend(part)
+            for e_idx, part in by_edge.items():
+                corr = dict(edges[e_idx].correspondence)
+                needed = {e for f in part for e in _nulls(f)}
+                if any(g not in corr for n, g in bind.items() if n in needed):
+                    break
+                child_bind = {n: corr[g] for n, g in bind.items() if g in corr}
+                if not self.component(edges[e_idx].target, part, child_bind):
+                    break
+            else:
+                return True
+        return False

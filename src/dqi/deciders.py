@@ -130,7 +130,7 @@ def decide_pqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, b: ChaseBudget)
     instance with no consistent completion the answer is vacuously True.
     """
     _require_boolean(q)
-    tree = visible_chase(c, s, v, b, prune=lambda inst: eval_ucq(q, inst) is True)
+    tree = visible_chase(c, s, v, b, prune=q)
     for leaf in tree.by_status(LEAF):
         if eval_ucq(q, leaf.instance) is not True:
             return Verdict(False, certificate=Witness(ground_nulls(leaf.instance), polarity=False))
@@ -213,7 +213,7 @@ def decide_owq(q: UCQ, c: ConstraintSet, i: Instance, b: ChaseBudget) -> Verdict
     exact = decide_owq_atomic_linear(q, c, i)
     if exact is not None:
         return Verdict(exact, certificate=ClassExact("fact-type reachability"))
-    res = classical_chase(i, c, b, tripwire=lambda inst: eval_ucq(q, inst) is True)
+    res = classical_chase(i, c, b, tripwire=q)
     if eval_ucq(q, res.instance) is True:
         return Verdict(True, certificate=ClassExact("chase derived the query"))
     if res.status == EGD_FAILURE:

@@ -4,6 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqi import chase
 from dqi.chase import (
     A_MARK,
     BUDGET,
@@ -11,7 +12,9 @@ from dqi.chase import (
     ChaseBudget,
     DUMMY,
     EGD_FAILURE,
+    EXPANDED,
     LEAF,
+    PRUNED,
     SATURATED,
     FactType,
     TypeEdge,
@@ -25,6 +28,8 @@ from dqi.chase import (
     visible_chase,
 )
 from dqi.core import (
+    CONST_TAG,
+    DISJ_TAG,
     Atom,
     CName,
     Const,
@@ -42,14 +47,19 @@ from dqi.core import (
     instance_hom_exists,
     satisfies,
 )
+from dqi.deciders import ClassExact, decide_exists_pqi
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi, oracle_pqi
 from dqi.problemgen import (
     random_boolean_query,
+    random_id_constraints,
     random_id_problem,
     random_linear_constraints,
     random_schema,
     random_visible_instance,
 )
+from dqi.textio import parse
+
+from conftest import load_fixture
 
 
 def two_rel_schema():
@@ -319,7 +329,7 @@ def test_classical_chase_tripwire_reports_whether_the_instance_is_saturated():
     start = Instance(s, frozenset({Fact("P0", (Const("a"),))}))
 
     def holds(name):
-        return lambda inst: bool(inst.facts_of(name))
+        return boolean_ucq([Atom(name, (Var("x"),))])
 
     # P1 appears after one step, while P1 -> P2 is still unmet
     res = classical_chase(start, c, ChaseBudget(100, 100, 20), tripwire=holds("P1"))
@@ -332,7 +342,7 @@ def test_classical_chase_tripwire_reports_whether_the_instance_is_saturated():
     assert len(res.instance.facts) == 3
 
 
-def test_classical_chase_pending_triggers_follow_an_egd_merge():
+def merge_after_a_pending_trigger():
     s = Schema((RelationDecl("S", 1, True), RelationDecl("R", 2, True),
                 RelationDecl("T", 2, False), RelationDecl("U", 2, False)))
     c = ConstraintSet((
@@ -342,6 +352,11 @@ def test_classical_chase_pending_triggers_follow_an_egd_merge():
         TGD((Atom("T", (Var("x"), Var("y"))),),
             (HeadDisjunct((Var("z"),), (Atom("U", (Var("y"), Var("z"))),)),)),
     ))
+    return s, c
+
+
+def test_classical_chase_pending_triggers_follow_an_egd_merge():
+    s, c = merge_after_a_pending_trigger()
     a, b = Const("a"), Const("b")
     start = Instance(s, frozenset({Fact("S", (a,)), Fact("R", (a, b))}))
     # the U trigger on T(a, ?1) is queued before the merge ?1 -> b and
@@ -380,7 +395,7 @@ def test_critical_chase_grounds_a_visible_heads_fresh_null_to_the_critical_value
     assert res.instance.facts == {Fact("V", (a,)), Fact("W", (a, a)), Fact("H", (a,))}
 
 
-def test_critical_chase_grounds_an_older_null_under_its_pending_triggers():
+def grounding_after_a_pending_trigger():
     s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
                 RelationDecl("H", 2, False), RelationDecl("G", 2, False)))
     c = ConstraintSet((
@@ -390,6 +405,11 @@ def test_critical_chase_grounds_an_older_null_under_its_pending_triggers():
         TGD((Atom("H", (Var("x"), Var("y"))),),
             (HeadDisjunct((Var("z"),), (Atom("G", (Var("y"), Var("z"))),)),)),
     ))
+    return s, c
+
+
+def test_critical_chase_grounds_an_older_null_under_its_pending_triggers():
+    s, c = grounding_after_a_pending_trigger()
     a = Const("a")
     # W(?1) grounds ?1 to a after the G trigger on H(a, ?1) was queued
     res = chase_vis_critical(c, s, a, ChaseBudget(100, 100, 20))
@@ -494,3 +514,167 @@ def test_decide_owq_atomic_linear_agrees_with_the_saturated_chase():
         saturated += 1
         assert decide_owq_atomic_linear(q, c, i) is (eval_ucq(q, res.instance) is True), seed
     assert saturated >= 150
+
+
+# ---------------------------------------------------------------------------
+# semi-naive trigger discovery and the incremental query stop
+
+
+DIFF_BUDGET = ChaseBudget(500, 300, 60)
+
+
+def chase_record(q, c, s, v):
+    """What the chases make of one problem: the visible chase tree without
+    and with the query stop (trace, statuses and node facts), and the
+    classical and critical chases, with and without it, where they apply."""
+    def tree(prune):
+        t = visible_chase(c, s, v, DIFF_BUDGET, prune=prune)
+        return t.trace_tsv(), [(n.status, n.instance.facts) for _, n in sorted(t.nodes.items())]
+
+    out = [tree(None), tree(q)]
+    if DISJ_TAG not in c.tags:
+        out += [classical_chase(v, c, DIFF_BUDGET), classical_chase(v, c, DIFF_BUDGET, tripwire=q)]
+        if CONST_TAG not in c.tags:
+            out.append(chase_vis_critical(c, s, Const("a"), DIFF_BUDGET))
+    return out
+
+
+HAND_BUILT = {
+    # two nulls merge while triggers on the dropped one are queued; W grounds
+    "merge-two-nulls": """dqi-1
+schema { visible S/1; hidden R/2; hidden P/2; hidden G/2; visible W/1; }
+constraints {
+  S(x) -> exists y. R(x,y);
+  S(x) -> exists y. P(x,y);
+  P(x,y) -> R(x,y);
+  R(x,y) & R(x,z) -> y = z;
+  R(x,y) -> exists w. G(y,w);
+  G(y,w) -> W(w);
+}
+query Q { exists x, y. P(x,y) & G(y,y) }
+instance V { S(a). W(a). W(b). }
+""",
+    # the query first holds on a fact that a merge renamed
+    "query-after-merge": """dqi-1
+schema { visible S/1; hidden R/2; hidden T/1; }
+constraints {
+  S(x) -> exists y. R(x,y);
+  R(x,y) -> T(y);
+  R(x,y) & S(x) -> x = y;
+}
+query Q { exists x. R(x,x) & T(x) }
+instance V { S(a). }
+""",
+    # a step adds two facts of one relation, and a later step completes
+    # the query's last atom
+    "two-facts-one-step": """dqi-1
+schema { visible S/1; hidden R/2; hidden G/2; hidden T/1; }
+constraints {
+  S(x) -> exists y, z. R(x,y) & R(y,z);
+  R(x,y) -> exists w. G(y,w);
+  G(x,w) -> T(x);
+}
+query Q { exists x, y, z. R(x,y) & R(y,z) & T(z) }
+instance V { S(a). S(b). }
+""",
+    # multi-atom bodies: a transitive closure that spawns nulls
+    "multi-atom-bodies": """dqi-1
+schema { visible E/2; hidden T/2; hidden P/2; }
+constraints {
+  E(x,y) -> T(x,y);
+  T(x,y) & T(y,z) -> T(x,z);
+  T(x,y) & E(y,x) -> exists w. P(x,w);
+  P(x,w) & T(x,y) -> exists v. P(w,v);
+}
+query Q { exists x, w. P(x,w) & T(w,w) }
+instance V { E(a,b). E(b,c). E(c,a). }
+""",
+}
+
+
+def differential_cases():
+    """(label, q, c, s, v): seeded inclusion-dependency and linear problems
+    of the benchmark's shape, the fixtures, and hand-built merges,
+    groundings and multi-atom bodies."""
+    for seed in range(120):
+        rng = random.Random(seed)
+        s = random_schema(rng, max_relations=5, max_arity=2)
+        if seed % 2:
+            c = random_linear_constraints(rng, s, max_deps=5, max_heads=1)
+        else:
+            c = random_id_constraints(rng, s, max_deps=5)
+        q = random_boolean_query(rng, s)
+        yield f"seed{seed}", q, c, s, random_visible_instance(rng, s, adom=3)
+    for name in ("medical.dqi", "separation.dqi", "controllability.dqi"):
+        pf = load_fixture(name)
+        for inst_name, v in sorted(pf.instances.items()):
+            yield f"{name}/{inst_name}", pf.queries["Q"], pf.constraints, pf.schema, v
+    for name, text in HAND_BUILT.items():
+        pf = parse(text)
+        yield name, pf.queries["Q"], pf.constraints, pf.schema, pf.instances["V"]
+    a, b = Const("a"), Const("b")
+    s, c = merge_after_a_pending_trigger()
+    yield "egd-after-pending", boolean_ucq([Atom("U", (Var("x"), Var("y")))]), c, s, \
+        Instance(s, frozenset({Fact("S", (a,)), Fact("R", (a, b))}))
+    s, c = grounding_after_a_pending_trigger()
+    yield "grounding-after-pending", boolean_ucq([Atom("G", (Var("x"), Var("x")))]), c, s, \
+        Instance(s, frozenset({Fact("V", (a,)), Fact("W", (a,)), Fact("W", (b,))}))
+
+
+def test_semi_naive_chase_matches_full_rematching(monkeypatch):
+    cases = list(differential_cases())
+    incremental = [chase_record(*case[1:]) for case in cases]
+    # with no delta, every step rematches every body and the whole query
+    monkeypatch.setattr(chase, "_delta", lambda last, instance: None)
+    full = [chase_record(*case[1:]) for case in cases]
+    for case, got, expected in zip(cases, incremental, full):
+        assert got == expected, case[0]
+    merged = [case[0] for case, record in zip(cases, incremental)
+              if any("egd#" in line for line in record[0][0].splitlines())]
+    assert {"merge-two-nulls", "query-after-merge", "egd-after-pending"} <= set(merged)
+
+
+def test_incremental_query_stop_agrees_with_eval_ucq_on_every_node():
+    stops = 0
+    for label, q, c, s, v in differential_cases():
+        tree = visible_chase(c, s, v, DIFF_BUDGET)
+        for node in tree.nodes.values():
+            if node.parent is None:
+                continue
+            parent = tree.nodes[node.parent].instance
+            if eval_ucq(q, parent) is True:
+                continue  # the query stop never looks past a pruned node
+            delta = chase._delta(parent, node.instance)
+            holds = chase._query_holds(q, node.instance, delta)
+            assert holds is (eval_ucq(q, node.instance) is True), (label, node.id)
+            stops += holds
+        pruned = visible_chase(c, s, v, DIFF_BUDGET, prune=q)
+        for node in pruned.nodes.values():
+            if node.status in (PRUNED, EXPANDED, LEAF):
+                assert (node.status == PRUNED) is (eval_ucq(q, node.instance) is True), (label, node.id)
+    assert stops >= 10
+
+
+# The critical chase saturates at four facts, but the fact-type graph has
+# self-loops: a forest search that does not memoise its states meets the
+# same states along exponentially many paths.
+CYCLIC_TYPES = """dqi-1
+schema { visible R0/2; hidden R1/2; visible R2/3; }
+constraints {
+  R1(x1,x0) -> R1(x1,x1); R1(x0,x1) -> R1(x0,x1); R1(x1,x0) -> exists y. R1(x1,y);
+  R0(x0,x0) -> exists y. R1(y,x0); R0(x0,x1) -> R0(x0,x0); R0(x1,x0) -> exists y. R2(x0,y,x1);
+}
+query Q { exists q1, q2, q0. R0(q1,q2) & R1(q1,q1) & R1(q1,q2) & R0(q0,q0) & R2(q1,q2,q2) }
+"""
+
+
+def test_exists_pqi_on_a_cyclic_type_graph_answers_false():
+    pf = parse(CYCLIC_TYPES)
+    q, c, s = pf.queries["Q"], pf.constraints, pf.schema
+    res = chase_vis_critical(c, s, Const("a"), ChaseBudget(100, 100, 20))
+    assert res.status == SATURATED and len(res.instance.facts) == 4
+    assert eval_ucq(q, res.instance) is False
+    assert decide_pqi_critical_linear(q, c, s) is False
+    verdict = decide_exists_pqi(q, c, s, ChaseBudget())
+    assert verdict.value is False
+    assert verdict.certificate == ClassExact("fact types over the critical instance")
