@@ -31,6 +31,13 @@ rematch would queue them, and the Boolean query that stops a branch
 (`_query_holds`), since it failed on the earlier instance.  TGD steps,
 groundings and EGD merges all go through the same delta.
 
+Each child instance is derived from its parent by `Instance.derive`: a TGD
+step adds its facts (`with_facts`), and an EGD merge or a grounding
+replaces only the facts holding a renamed null (`map_instance`,
+`_grounding_children`), so the child's match state is its parent's plus
+that change rather than a fresh build.  The visible chase finds its
+groundings by matching the new visible facts into the visible part.
+
 Plus fact types for constant-free linear TGDs: a relation with the
 equality pattern of its values, kept canonical by `canon_pattern` and
 enumerated by `_patterns`; these and the term binder `bind_pattern` also
@@ -399,30 +406,46 @@ def _grounding_children(
 ) -> List[Tuple[Instance, str, Dict[Value, Value]]]:
     """Ground a step's new visible facts into the visible active domain.
 
-    Returns the list of distinct grounded instances (with a description of
-    the grounding), or an empty list when no grounding homomorphism exists.
+    `k_prime` is a node instance, whose visible part is `visible_part`, with
+    the step's `new_facts` added.  The candidate groundings are the
+    homomorphisms of the new visible facts (nulls read as variables) into
+    `visible_part`, taken in the order `product(adom, repeat=|nulls|)` would
+    give over its sorted active domain.  A grounding is kept when its image
+    has `visible_part` as visible part again, tested on the facts holding a
+    grounded null (the only ones it moves), and when no earlier grounding
+    gave the same image.  Returns each kept image with a description of the
+    grounding and the grounding itself; an empty list when none is kept.
     """
     new_visible = [f for f in new_facts if schema.decl(f.relation).visible]
     if not new_visible:
         return [(k_prime, "", {})]
-    adom_v = sorted(active_domain(visible_part), key=value_key)
-    move: List[Value] = []
-    for f in new_visible:
-        for v in f.args:
-            if isinstance(v, Null) and v not in move:
-                move.append(v)
-            if isinstance(v, Const) and v not in active_domain(visible_part):
-                return []  # a constant outside the visible domain can never match
+    if not visible_part.facts:
+        return []  # nothing to match into, as in every chase of `decide_exists_nqi`
+    move: List[Value] = list(dict.fromkeys(v for f in new_visible for v in f.args if isinstance(v, Null)))
+    as_var = {n: Var(value_name(n)) for n in move}
+    atoms = [Atom(f.relation, tuple(as_var[v] if isinstance(v, Null) else CName(v.name) for v in f.args))
+             for f in new_visible]
+    rank = {v: i for i, v in enumerate(sorted(active_domain(visible_part), key=value_key))}
+    groundings = sorted((tuple(h[as_var[n]] for n in move) for h in find_homomorphisms(atoms, visible_part)),
+                        key=lambda combo: [rank[v] for v in combo])
+    if not groundings:
+        return []
+    moved = [f for f in k_prime.facts if not as_var.keys().isdisjoint(f.args)]
+    moved_visible = [f for f in moved if schema.decl(f.relation).visible]
+    kept_visible = [f for f in moved_visible if f in visible_part.facts]
     out: List[Tuple[Instance, str, Dict[Value, Value]]] = []
     seen: Set[FrozenSet[Fact]] = set()
-    for combo in itertools.product(adom_v, repeat=len(move)):
+    for combo in groundings:
         g = dict(zip(move, combo))
-        image = map_instance(k_prime, g)
-        if image.visible().facts == visible_part.facts:
-            if image.facts not in seen:
-                seen.add(image.facts)
-                desc = ",".join(f"?{n.id}->{value_name(val)}" for n, val in zip(move, combo))
-                out.append((image, desc, g))
+        images = {f: Fact(f.relation, tuple(g.get(v, v) for v in f.args)) for f in moved}
+        visible_images = {images[f] for f in moved_visible}
+        if not visible_images <= visible_part.facts or not visible_images.issuperset(kept_visible):
+            continue
+        image = k_prime.derive(moved, images.values())
+        if image.facts not in seen:
+            seen.add(image.facts)
+            desc = ",".join(f"?{n.id}->{value_name(val)}" for n, val in zip(move, combo))
+            out.append((image, desc, g))
     return out
 
 
@@ -441,7 +464,7 @@ def visible_chase(
     """
     visible_part = f0.visible()
     nulls = NullSource.above(f0)
-    root = ChaseNode(0, Instance(s, f0.facts), OPEN, None, 0, "", _Triggers())
+    root = ChaseNode(0, f0 if f0.schema == s else Instance(s, f0.facts), OPEN, None, 0, "", _Triggers())
     nodes = {0: root}
     frontier: deque = deque([0])
     next_id = itertools.count(1)

@@ -6,6 +6,7 @@ distinct values, and a constant is never equal to a labeled null.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -170,7 +171,7 @@ class Fact:
 
 
 def fact_key(f: Fact) -> Tuple:
-    return (f.relation, tuple(value_key(v) for v in f.args))
+    return (f.relation, tuple(map(value_key, f.args)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facts", frozenset(self.facts))
-        for f in self.facts:
+        self._check(self.facts)
+
+    def _check(self, facts: Iterable[Fact]) -> None:
+        for f in facts:
             decl = self.schema.decl(f.relation)
             if len(f.args) != decl.arity:
                 raise SchemaError(f"arity mismatch in fact {f.relation}/{len(f.args)}")
@@ -189,25 +193,101 @@ class Instance:
         return tuple(sorted(self.facts, key=fact_key))
 
     def visible(self) -> "Instance":
-        vis = {f for f in self.facts if self.schema.decl(f.relation).visible}
-        return Instance(self.schema, frozenset(vis))
+        """The visible facts; the instance itself when it has no other."""
+        vis = frozenset(f for f in self.facts if self.schema.decl(f.relation).visible)
+        return self if len(vis) == len(self.facts) else Instance(self.schema, vis)
 
     def with_facts(self, extra: Iterable[Fact]) -> "Instance":
-        return Instance(self.schema, self.facts | set(extra))
+        return self.derive((), extra)
+
+    def derive(self, removed: Iterable[Fact], added: Iterable[Fact]) -> "Instance":
+        """The instance without the facts `removed` and with the facts `added`.
+
+        Only the facts it gains are validated.  When this instance's match
+        state is built, or is to be derived from an ancestor's, the child's
+        match state will be derived from that same built state on its first
+        search (`_match_state`)."""
+        added = set(added)
+        gained = added - self.facts
+        lost = self.facts.intersection(removed) - added
+        if not gained and not lost:
+            return self
+        self._check(gained)
+        child = object.__new__(Instance)
+        object.__setattr__(child, "schema", self.schema)
+        object.__setattr__(child, "facts", (self.facts - lost if lost else self.facts) | gained)
+        base = self if "_match_state" in self.__dict__ else self.__dict__.get("_state_base")
+        if base is not None:
+            child.__dict__["_state_base"] = base
+        return child
 
     def facts_of(self, relation: str) -> Tuple[Fact, ...]:
         return tuple(sorted((f for f in self.facts if f.relation == relation), key=fact_key))
 
     @cached_property
     def _match_state(self) -> "MatchState":
-        """Relation buckets and hash indexes for `find_homomorphisms`, built
-        once: the instance is immutable, so every search over it reuses them."""
+        """Relation buckets (each in `fact_key` order) and hash indexes for
+        `find_homomorphisms`, made on the first search over the instance; the
+        instance is immutable, so every later search reuses them.
+
+        An instance made by `derive` from one with a built state (its base)
+        derives its state from the base's: untouched relation buckets and
+        hash tables are shared (neither is mutated once made), a touched
+        bucket is copied with the gained facts inserted in `fact_key` order,
+        and so is each table of a relation that only gained facts; the
+        tables of a relation that lost facts are dropped, to be rebuilt from
+        its bucket on demand.  Any other instance builds its state from its
+        facts."""
+        base = self.__dict__.pop("_state_base", None)
+        if base is not None:
+            return _derive_state(base._match_state, base.facts - self.facts, self.facts - base.facts)
         by_rel: Dict[str, list] = {}
         for f in self.facts:
             by_rel.setdefault(f.relation, []).append(f)
         for fs in by_rel.values():
             fs.sort(key=fact_key)
         return by_rel, {}
+
+
+def _derive_state(state: "MatchState", lost: Set[Fact], gained: Set[Fact]) -> "MatchState":
+    """The match state of an instance that lost and gained the given facts,
+    derived from the state of the instance it changed; see
+    `Instance._match_state`."""
+    by_rel, index = state
+    child_rel = dict(by_rel)
+    lost_rels = {f.relation for f in lost}
+    for rel in lost_rels:
+        child_rel[rel] = [f for f in by_rel[rel] if f not in lost]
+    gained_of: Dict[str, List[Tuple[Tuple, Fact]]] = {}
+    for f in gained:
+        gained_of.setdefault(f.relation, []).append((fact_key(f), f))
+    for rel, keyed in gained_of.items():
+        child_rel[rel] = _inserted(child_rel[rel] if rel in lost_rels else by_rel.get(rel, []), keyed)
+    for rel in lost_rels:
+        if not child_rel[rel]:
+            del child_rel[rel]
+    child_index: Dict = {}
+    for sig, table in index.items():
+        rel, arity, positions = sig
+        if rel in lost_rels:
+            continue
+        if rel in gained_of:
+            table = dict(table)
+            for k, f in gained_of[rel]:
+                if len(f.args) == arity:
+                    pos = tuple(f.args[p] for p in positions)
+                    table[pos] = _inserted(table.get(pos, []), [(k, f)])
+        child_index[sig] = table
+    return child_rel, child_index
+
+
+def _inserted(facts: List[Fact], keyed: Sequence[Tuple[Tuple, Fact]]) -> List[Fact]:
+    """A copy of the `fact_key`-sorted list with the facts of `keyed`, each
+    given with its key, inserted in order."""
+    out = list(facts)
+    for k, f in keyed:
+        out.insert(bisect.bisect(out, k, key=fact_key), f)
+    return out
 
 
 def active_domain(instance: Instance) -> FrozenSet[Value]:
@@ -472,11 +552,11 @@ def apply_hom(atoms: Sequence[Atom], mapping: Mapping[Var, Value]) -> Tuple[Fact
 
 
 def map_instance(instance: Instance, value_map: Mapping[Value, Value]) -> Instance:
-    """Apply a value substitution to every fact."""
-    facts = set()
-    for f in instance.facts:
-        facts.add(Fact(f.relation, tuple(value_map.get(v, v) for v in f.args)))
-    return Instance(instance.schema, frozenset(facts))
+    """Apply a value substitution to every fact: `Instance.derive` replaces
+    the facts holding a mapped value with their images."""
+    moved = [f for f in instance.facts if not value_map.keys().isdisjoint(f.args)]
+    return instance.derive(moved, [Fact(f.relation, tuple(value_map.get(v, v) for v in f.args))
+                                   for f in moved])
 
 
 def fresh_name(base: str, taken: Set[str]) -> str:

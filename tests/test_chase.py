@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -42,10 +43,17 @@ from dqi.core import (
     Schema,
     TGD,
     Var,
+    Null,
+    active_domain,
     boolean_ucq,
     eval_ucq,
+    find_homomorphisms,
+    head_matches,
     instance_hom_exists,
+    map_instance,
     satisfies,
+    value_key,
+    value_name,
 )
 from dqi.deciders import ClassExact, decide_exists_pqi
 from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi, oracle_pqi
@@ -653,6 +661,118 @@ def test_incremental_query_stop_agrees_with_eval_ucq_on_every_node():
             if node.status in (PRUNED, EXPANDED, LEAF):
                 assert (node.status == PRUNED) is (eval_ucq(q, node.instance) is True), (label, node.id)
     assert stops >= 10
+
+
+# ---------------------------------------------------------------------------
+# chase children derived from their parent: match state and groundings
+
+
+def test_derived_match_state_equals_a_fresh_one_on_every_node():
+    derived = 0
+    for label, q, c, s, v in differential_cases():
+        tree = visible_chase(c, s, v, DIFF_BUDGET)
+        for node in tree.nodes.values():
+            inst = node.instance
+            if node.parent is not None:
+                parent_buckets = tree.nodes[node.parent].instance._match_state[0].values()
+                derived += any(b is p for b in inst._match_state[0].values() for p in parent_buckets)
+            fresh = Instance(s, inst.facts)
+            assert inst._match_state[0] == fresh._match_state[0], (label, node.id)
+            for dep in c.dependencies:
+                homs = list(find_homomorphisms(dep.body, inst))
+                assert homs == list(find_homomorphisms(dep.body, fresh)), (label, node.id)
+                for h in homs:
+                    for disjunct in getattr(dep, "heads", ()):
+                        assert list(head_matches(disjunct, h, inst)) == \
+                            list(head_matches(disjunct, h, fresh)), (label, node.id)
+            for d in q.disjuncts:
+                assert list(find_homomorphisms(d.atoms, inst)) == \
+                    list(find_homomorphisms(d.atoms, fresh)), (label, node.id)
+    assert derived >= 100
+
+
+def product_groundings(k_prime, new_facts, visible_part, schema):
+    """`_grounding_children` as the product loop: every tuple of visible
+    values for the new visible facts' nulls, the whole instance mapped."""
+    new_visible = [f for f in new_facts if schema.decl(f.relation).visible]
+    if not new_visible:
+        return [(k_prime, "", {})]
+    adom_v = sorted(active_domain(visible_part), key=value_key)
+    move = []
+    for f in new_visible:
+        for v in f.args:
+            if isinstance(v, Null) and v not in move:
+                move.append(v)
+            if isinstance(v, Const) and v not in active_domain(visible_part):
+                return []
+    out, seen = [], set()
+    for combo in itertools.product(adom_v, repeat=len(move)):
+        g = dict(zip(move, combo))
+        image = map_instance(k_prime, g)
+        if image.visible().facts == visible_part.facts and image.facts not in seen:
+            seen.add(image.facts)
+            desc = ",".join(f"?{n.id}->{value_name(val)}" for n, val in zip(move, combo))
+            out.append((image, desc, g))
+    return out
+
+
+def groundings_of(children):
+    return [(image.facts, desc, g) for image, desc, g in children]
+
+
+def test_grounding_children_agree_with_the_product_loop_on_seeded_trees(monkeypatch):
+    calls = []
+
+    def checked(k_prime, new_facts, visible_part, schema):
+        got = grounding_children(k_prime, new_facts, visible_part, schema)
+        expected = product_groundings(k_prime, new_facts, visible_part, schema)
+        assert groundings_of(got) == groundings_of(expected)
+        calls.append(len(got))
+        return got
+
+    grounding_children = chase._grounding_children
+    monkeypatch.setattr(chase, "_grounding_children", checked)
+    for label, q, c, s, v in differential_cases():
+        visible_chase(c, s, v, DIFF_BUDGET)
+    assert len(calls) >= 100
+    assert {0, 1, 2} <= set(calls), sorted(set(calls))
+
+
+def test_grounding_children_agree_with_the_product_loop_on_hand_built_steps():
+    s = Schema((RelationDecl("R", 2, True), RelationDecl("V", 1, True), RelationDecl("H", 2, False)))
+    a, b, c = Const("a"), Const("b"), Const("c")
+    n1, n2 = Null(1), Null(2)
+
+    def children(visible_facts, hidden_facts, new_facts):
+        visible_part = Instance(s, frozenset(visible_facts))
+        k_prime = visible_part.with_facts(hidden_facts).with_facts(new_facts)
+        got = chase._grounding_children(k_prime, new_facts, visible_part, s)
+        assert groundings_of(got) == groundings_of(product_groundings(k_prime, new_facts, visible_part, s))
+        return groundings_of(got)
+
+    ab = [Fact("R", (a, b)), Fact("R", (b, a))]
+    # a null-free visible fact: kept inside the visible part, dropped outside it
+    assert [desc for _, desc, _ in children(ab, [], [Fact("R", (a, b))])] == [""]
+    assert children(ab, [], [Fact("R", (a, a))]) == []
+    # a constant outside the visible domain never matches
+    assert children(ab, [], [Fact("R", (c, n1))]) == []
+    # symmetric nulls: (a, b) and (b, a) give the same image, kept once
+    [(facts, desc, g)] = children(ab, [], [Fact("R", (n1, n2)), Fact("R", (n2, n1))])
+    assert facts == set(ab) and desc == "?1->a,?2->b" and g == {n1: a, n2: b}
+    # the matcher binds ?2 first, yet the children come in product order
+    got = children(ab + [Fact("R", (a, c)), Fact("V", (a,)), Fact("V", (b,)), Fact("V", (c,))],
+                   [Fact("H", (n1, n2))], [Fact("V", (n1,)), Fact("R", (a, n2))])
+    assert [desc for _, desc, _ in got] == [f"?1->{x},?2->{y}" for x in "abc" for y in "bc"]
+    # a body-bound null shared with a hidden fact moves with it
+    got = children(ab + [Fact("V", (a,))], [Fact("H", (c, n1))], [Fact("R", (a, n1))])
+    assert [(desc, Fact("H", (c, b)) in facts) for facts, desc, _ in got] == [("?1->b", True)]
+    # a visible part holding a null: mapping the null to a changes the
+    # visible part, so only the identity survives
+    visible = [Fact("R", (a, n1)), Fact("V", (a,)), Fact("V", (n1,))]
+    assert [desc for _, desc, _ in children(visible, [], [Fact("V", (n1,))])] == ["?1->?1"]
+    assert children(visible[:2], [], [Fact("V", (n1,))]) == []
+    # ... also when every moved visible fact lands inside the visible part
+    assert [desc for _, desc, _ in children(visible[1:], [], [Fact("V", (n1,))])] == ["?1->?1"]
 
 
 # The critical chase saturates at four facts, but the fact-type graph has

@@ -347,6 +347,24 @@ def test_active_domain_and_instance_helpers():
     assert i.with_facts([Fact("S", (Const("c"),))]).facts_of("S")
 
 
+def test_derive_validates_the_facts_it_adds():
+    s = simple_schema()
+    a, b = Const("a"), Const("b")
+    fresh = inst(s, Fact("R", (a, b)), Fact("S", (a,)))
+    searched = inst(s, Fact("R", (a, b)), Fact("S", (a,)))
+    assert list(find_homomorphisms([Atom("R", (Var("x"), Var("y")))], searched))  # builds its match state
+    for base in (fresh, searched):
+        with pytest.raises(SchemaError):
+            base.with_facts([Fact("R", (a,))])
+        with pytest.raises(SchemaError):
+            base.with_facts([Fact("T", (a,))])
+        with pytest.raises(SchemaError):
+            base.derive([Fact("R", (a, b))], [Fact("S", (a, b))])
+        child = base.derive([Fact("R", (a, b))], [Fact("R", (b, a)), Fact("H", (a, a))])
+        assert child.facts == {Fact("S", (a,)), Fact("R", (b, a)), Fact("H", (a, a))}
+        assert child.derive([], [Fact("S", (a,))]) is child
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_satisfies_is_invariant_under_single_head_normalization_on_models(seed):
