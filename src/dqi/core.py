@@ -537,6 +537,80 @@ def match_fact(atom: Atom, fact: Fact, seed: Mapping[Var, Value]) -> Optional[Ho
     return m
 
 
+Support = Tuple[Fact, ...]
+
+
+def _atom_plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optional[Tuple[Value, ...]]]:
+    """`atom` compiled into positions: a function from a fact of its
+    relation to the fact's values at the first positions of `keys`, or None
+    when the arity, a constant or a repeated variable of `atom` disagrees
+    with it."""
+    arity = len(atom.args)
+    first: Dict[Var, int] = {}
+    consts: List[Tuple[int, Const]] = []
+    equal: List[Tuple[int, int]] = []
+    for i, t in enumerate(atom.args):
+        if isinstance(t, CName):
+            consts.append((i, Const(t.name)))
+        elif first.setdefault(t, i) != i:
+            equal.append((i, first[t]))
+    positions = [first[x] for x in keys]
+
+    def key(fact: Fact) -> Optional[Tuple[Value, ...]]:
+        args = fact.args
+        if len(args) != arity:
+            return None
+        for i, c in consts:
+            if args[i] != c:
+                return None
+        for i, j in equal:
+            if args[i] != args[j]:
+                return None
+        return tuple([args[i] for i in positions])
+
+    return key
+
+
+def support_lookup(
+    body: Atom, heads: Sequence[HeadDisjunct], facts_of: Mapping[str, Sequence[Fact]]
+) -> Callable[[Fact], Optional[List[Support]]]:
+    """One trigger compiled into positions, as a function from a fact of the
+    body's relation to its supports among `facts_of` (facts by relation),
+    or None when `body` does not match the fact.
+
+    A support is a fact that matches a head disjunct's atom where the
+    disjunct's frontier variables take the body fact's values, or the empty
+    support of an empty disjunct; the disjuncts must have at most one atom.
+    Each disjunct's facts are indexed by the values at their frontier
+    positions, so a lookup is one dict access per disjunct (the compiled
+    trigger lookup of ChaseBench-style engines, Benedikt et al., PODS
+    2017).  It finds the supports that `head_matches` finds for the body
+    match `match_fact(body, fact, {})`."""
+    body_vars = set(body.variables)
+    body_matches = _atom_plan(body)
+    indexed = []
+    for d in heads:
+        if not d.atoms:
+            indexed.append((body_matches, {(): [()]}))
+            continue
+        (head,) = d.atoms
+        frontier = [x for x in head.variables if x in body_vars and x not in d.exist_vars]
+        head_key = _atom_plan(head, frontier)
+        index: Dict[Tuple[Value, ...], List[Support]] = {}
+        for f in facts_of.get(head.relation, ()):
+            k = head_key(f)
+            if k is not None:
+                index.setdefault(k, []).append((f,))
+        indexed.append((_atom_plan(body, frontier), index))
+
+    def lookup(fact: Fact) -> Optional[List[Support]]:
+        if body_matches(fact) is None:
+            return None
+        return [m for body_key, index in indexed for m in index.get(body_key(fact), ())]
+
+    return lookup
+
+
 def apply_hom(atoms: Sequence[Atom], mapping: Mapping[Var, Value]) -> Tuple[Fact, ...]:
     """Instantiate atoms into facts under a total variable assignment."""
     out = []

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Atom,
@@ -61,6 +61,7 @@ from .core import (
     RelationDecl,
     Schema,
     SchemaError,
+    Support,
     TGD,
     UCQ,
     Value,
@@ -73,6 +74,7 @@ from .core import (
     fresh_name,
     match_fact,
     normalize_single_head,
+    support_lookup,
     value_key,
     CONST_TAG,
     DISJ_TAG,
@@ -666,70 +668,6 @@ def _bind_head(head: Atom, atom: Atom, seed: Mapping[Var, Value]) -> Optional[Di
     return m
 
 
-Support = Tuple[Fact, ...]
-
-
-def _plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optional[Tuple[Value, ...]]]:
-    """`atom` compiled into positions: a function from a fact of its
-    relation to the fact's values at the first positions of `keys`, or None
-    when a constant or a repeated variable of `atom` disagrees with it."""
-    first: Dict[Var, int] = {}
-    consts: List[Tuple[int, Const]] = []
-    equal: List[Tuple[int, int]] = []
-    for i, t in enumerate(atom.args):
-        if isinstance(t, CName):
-            consts.append((i, Const(t.name)))
-        elif first.setdefault(t, i) != i:
-            equal.append((i, first[t]))
-    positions = [first[x] for x in keys]
-
-    def key(fact: Fact) -> Optional[Tuple[Value, ...]]:
-        args = fact.args
-        if any(args[i] != c for i, c in consts) or any(args[i] != args[j] for i, j in equal):
-            return None
-        return tuple(args[i] for i in positions)
-
-    return key
-
-
-def _support_lookup(
-    body: Atom, heads: Sequence[HeadDisjunct], facts_of: Mapping[str, Sequence[Fact]]
-) -> Callable[[Fact], Optional[List[Support]]]:
-    """One trigger compiled into positions, as a function from a fact of the
-    body's relation to its supports among `facts_of` (facts by relation),
-    or None when `body` does not match the fact.
-
-    A support is a fact that matches a head disjunct's atom where the
-    disjunct's frontier variables take the body fact's values, or the empty
-    support of an empty disjunct.  Each disjunct's facts are indexed by the
-    values at their frontier positions, so a lookup is one dict access per
-    disjunct (the compiled trigger lookup of ChaseBench-style engines,
-    Benedikt et al., PODS 2017)."""
-    body_vars = set(body.variables)
-    body_matches = _plan(body)
-    indexed = []
-    for d in heads:
-        if not d.atoms:
-            indexed.append((body_matches, {(): [()]}))
-            continue
-        (head,) = d.atoms
-        frontier = [x for x in head.variables if x in body_vars and x not in d.exist_vars]
-        head_key = _plan(head, frontier)
-        index: Dict[Tuple[Value, ...], List[Support]] = {}
-        for f in facts_of.get(head.relation, ()):
-            k = head_key(f)
-            if k is not None:
-                index.setdefault(k, []).append((f,))
-        indexed.append((_plan(body, frontier), index))
-
-    def lookup(fact: Fact) -> Optional[List[Support]]:
-        if body_matches(fact) is None:
-            return None
-        return [m for body_key, index in indexed for m in index.get(body_key(fact), ())]
-
-    return lookup
-
-
 def _prune_unsupported(
     alive: Set[Fact], obligations: Iterable[Tuple[Fact, Sequence[Support]]]
 ) -> Set[Fact]:
@@ -823,9 +761,9 @@ def _largest_model(
     values, prunes it, and decides a None answer there.  That closure holds
     every support of its facts, so its survivors and its deleted facts are
     final.  Otherwise phase 2 enumerates the maximal database's hidden facts
-    once, indexes them by position (`_support_lookup`), and prunes only the
-    facts that phase 1 did not explore, giving the whole largest model as
-    the witness.
+    once, indexes them by position (`core.support_lookup`), and prunes only
+    the facts that phase 1 did not explore, giving the whole largest model
+    as the witness.
     """
     program = build_gfp_program(q, c, s, extra_constants=extra_constants)
     maxdb = _MaximalDatabase(program, v)
@@ -896,7 +834,7 @@ def _largest_model(
     for f in itertools.chain(alive, rest):
         facts_of.setdefault(f.relation, []).append(f)
     lookups = {
-        rel: [_support_lookup(body, heads, facts_of) for body, heads in triggers.get(rel, ())]
+        rel: [support_lookup(body, heads, facts_of) for body, heads in triggers.get(rel, ())]
         for rel in {f.relation for f in rest}
     }
     obligations = [

@@ -25,6 +25,13 @@ containment in S (a set of pool facts is a bitmask over pool positions):
   holds on `base ∪ S` iff one of them lies in S (UCQs are monotone).  An
   open query never evaluates to True, so it holds on no candidate.
 
+Most dependencies are TGDs with one body atom and head disjuncts of at most
+one atom.  Those, and the one-atom query disjuncts, go through the compiled
+trigger of `core.support_lookup`, shared with the NQI largest model: the
+body relation's facts of the top instance are walked once, each disjunct's
+supports are one dict access, and facts map straight to pool bits.  EGDs
+and longer bodies or disjuncts go through `find_homomorphisms`.
+
 Candidates come in the order of `enumerate_extensions` and
 `enumerate_supersets`, so the first witness is the one the plain loop
 (build the instance, then `satisfies` and `eval_ucq`) finds.
@@ -37,13 +44,16 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
+    Atom,
     ConstraintSet,
     Const,
     EGD,
     Fact,
+    HeadDisjunct,
     Instance,
     RelationDecl,
     Schema,
+    TGD,
     UCQ,
     _term_value,
     active_domain,
@@ -52,6 +62,7 @@ from .core import (
     constant_names,
     find_homomorphisms,
     head_matches,
+    support_lookup,
     value_key,
 )
 
@@ -148,9 +159,16 @@ def _violated(index: Index, combo: Tuple[int, ...], s: int) -> bool:
     """Is some trigger of `index` violated inside S = sum(combo)?  Only the
     triggers filed under 0 or a fact of S can lie in S."""
     for key in (0, *combo):
-        for facts, supports in index.get(key, ()):
-            if facts & s == facts and not any(sup & s == sup for sup in supports):
-                return True
+        triggers = index.get(key)
+        if triggers is None:
+            continue
+        for facts, supports in triggers:
+            if facts & s == facts:
+                for sup in supports:
+                    if sup & s == sup:
+                        break
+                else:
+                    return True
     return False
 
 
@@ -169,12 +187,30 @@ def _compile(c: ConstraintSet, q: Optional[UCQ], base: Instance,
     iff that index has a trigger violated inside S."""
     top = base.with_facts(pool)
     bit = {f: 1 << i for i, f in enumerate(pool) if f not in base.facts}
+    facts_of: Dict[str, List[Fact]] = {}
+    for f in top.facts:
+        facts_of.setdefault(f.relation, []).append(f)
 
     def outside(facts: Iterable[Fact]) -> int:
         return sum(bit.get(f, 0) for f in set(facts))
 
+    def compiled(body: Atom, heads: Sequence[HeadDisjunct]) -> Iterator[Trigger]:
+        """The triggers of a single-atom body whose head disjuncts have one
+        atom each; with no heads, the matches of the body atom."""
+        lookup = support_lookup(body, heads, facts_of)
+        for f in facts_of.get(body.relation, ()):
+            found = lookup(f)
+            if found is not None:
+                supports = frozenset([bit.get(g, 0) for g, in found])
+                if 0 not in supports:
+                    yield bit.get(f, 0), supports
+
     triggers = set()
     for dep in c.dependencies:
+        if isinstance(dep, TGD) and len(dep.body) == 1 and all(len(d.atoms) <= 1 for d in dep.heads):
+            if all(d.atoms for d in dep.heads):  # an empty disjunct holds on every candidate
+                triggers.update(compiled(dep.body[0], dep.heads))
+            continue
         for h in find_homomorphisms(dep.body, top):
             if isinstance(dep, EGD):
                 if _term_value(dep.left, h) == _term_value(dep.right, h):
@@ -189,8 +225,12 @@ def _compile(c: ConstraintSet, q: Optional[UCQ], base: Instance,
             triggers.add((outside(apply_hom(dep.body, h)), supports))
     matches = set()
     if q is not None and not q.free_vars:
-        matches = {(outside(apply_hom(cq.atoms, h)), frozenset())
-                   for cq in q.disjuncts for h in find_homomorphisms(cq.atoms, top)}
+        for cq in q.disjuncts:
+            if len(cq.atoms) == 1:
+                matches.update(compiled(cq.atoms[0], ()))
+            else:
+                matches.update((outside(apply_hom(cq.atoms, h)), frozenset())
+                               for h in find_homomorphisms(cq.atoms, top))
     return _index(triggers), _index(matches)
 
 

@@ -239,24 +239,9 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     atoms are genuinely present: a corrupted table row without a 1 would let
     an adversarial completion drop that certificate.
     """
-    _require_kind(p, EXISTS_PQI)
-    q, c, s = p.query, p.constraints, p.schema
+    widths, or_names, check_names, init_name, zero_name_v, one_name_v, s2 = _constant_encoding(p)
+    q, c = p.query, p.constraints
     assert q is not None
-    if any(isinstance(d, EGD) for d in c.dependencies):
-        raise ClassError("the disjunction-elimination step handles TGD-only constraint sets")
-    if any(len(t.body) != 1 for t in c.tgds):
-        raise ClassError("the disjunction-elimination step requires linear TGDs")
-
-    widths, or_names, check_names, init_name, zero_name_v, one_name_v = _constant_encoding_names(q, c, s)
-    relations = tuple(RelationDecl(r.name, r.arity + 1, r.visible) for r in s.relations) + tuple(
-        RelationDecl(or_names[m], m, True) for m in widths
-    ) + tuple(
-        RelationDecl(check_names[m], 1, False) for m in widths
-    ) + (
-        RelationDecl(init_name, 0, True),
-    )
-    s2 = Schema(relations)
-
     zero, one = CName(zero_name_v), CName(one_name_v)
 
     deps: List[Dependency] = []
@@ -304,19 +289,33 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(EXISTS_PQI, c2, s2, query=UCQ(disjuncts))
 
 
-def _constant_encoding_names(
-    q: UCQ, c: ConstraintSet, s: Schema
-) -> Tuple[List[int], Dict[int, str], Dict[int, str], str, str, str]:
-    """The fresh names `disj_to_constants` introduces: the head-disjunction
-    widths, the lookup and certification relation per width, the
-    initialization relation, and the values 0 and 1."""
+def _constant_encoding(
+    p: ProblemInstance,
+) -> Tuple[List[int], Dict[int, str], Dict[int, str], str, str, str, Schema]:
+    """What `disj_to_constants` introduces for `p`, an ∃PQI problem over
+    linear TGDs: the head-disjunction widths, the lookup and certification
+    relation per width, the initialization relation, the values 0 and 1,
+    and the output schema."""
+    _require_kind(p, EXISTS_PQI)
+    q, c, s = p.query, p.constraints, p.schema
+    assert q is not None
+    if any(isinstance(d, EGD) for d in c.dependencies):
+        raise ClassError("the disjunction-elimination step handles TGD-only constraint sets")
+    if any(len(t.body) != 1 for t in c.tgds):
+        raise ClassError("the disjunction-elimination step requires linear TGDs")
     widths = sorted({len(t.heads) for t in c.tgds if len(t.heads) > 1})
     taken_rel = set(s.by_name)
     or_names = {m: _fresh_relation(f"or{m}", taken_rel) for m in widths}
     check_names = {m: _fresh_relation(f"check{m}", taken_rel) for m in widths}
     init_name = _fresh_relation("init", taken_rel)
     zero_name_v, one_name_v = _fresh_value_names(2, set(constant_names(c, q)), "")
-    return widths, or_names, check_names, init_name, zero_name_v, one_name_v
+    s2 = Schema(
+        tuple(RelationDecl(r.name, r.arity + 1, r.visible) for r in s.relations)
+        + tuple(RelationDecl(or_names[m], m, True) for m in widths)
+        + tuple(RelationDecl(check_names[m], 1, False) for m in widths)
+        + (RelationDecl(init_name, 0, True),)
+    )
+    return widths, or_names, check_names, init_name, zero_name_v, one_name_v, s2
 
 
 def constant_encoding_lift(p: ProblemInstance, v: Instance) -> Instance:
@@ -325,11 +324,7 @@ def constant_encoding_lift(p: ProblemInstance, v: Instance) -> Instance:
     initialization fact plus the full lookup tables.  For every visible
     instance the positive implication answers of the two problems agree on
     this pair, which is what the answer-preservation argument rests on."""
-    _require_kind(p, EXISTS_PQI)
-    q, c, s = p.query, p.constraints, p.schema
-    assert q is not None
-    s2 = disj_to_constants(p).schema
-    widths, or_names, _, init_name, zero_name_v, one_name_v = _constant_encoding_names(q, c, s)
+    widths, or_names, _, init_name, zero_name_v, one_name_v, s2 = _constant_encoding(p)
     zero, one = Const(zero_name_v), Const(one_name_v)
 
     facts: Set[Fact] = {Fact(init_name, ())}

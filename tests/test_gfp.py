@@ -28,6 +28,7 @@ from dqi.core import (
     head_matches,
     match_fact,
     satisfies,
+    support_lookup,
 )
 from dqi import gfp
 from dqi.gfp import (
@@ -38,7 +39,6 @@ from dqi.gfp import (
     _MaximalDatabase,
     _largest_model,
     _prune_unsupported,
-    _support_lookup,
     build_gfp_program,
     eval_gfp,
     nqi_gfp_detail,
@@ -525,7 +525,7 @@ def test_support_lookup_agrees_with_match_fact(body, heads):
     values = (Const("a"), Const("b"), Const("k"))
     facts_of = {rel: [Fact(rel, args) for args in itertools.product(values, repeat=3)]
                 for rel in ("B", "H")}
-    lookup = _support_lookup(body, heads, facts_of)
+    lookup = support_lookup(body, heads, facts_of)
     found = 0
     for fact in facts_of["B"]:
         h = match_fact(body, fact, {})

@@ -21,9 +21,13 @@ from dqi.core import (
     SchemaError,
     TGD,
     Var,
+    _term_value,
+    apply_hom,
     boolean_ucq,
     constant_names,
     eval_ucq,
+    find_homomorphisms,
+    head_matches,
     satisfies,
 )
 from dqi.oracle import (
@@ -32,7 +36,10 @@ from dqi.oracle import (
     EXACT,
     OracleAnswer,
     SearchSpaceTooLarge,
+    _compile,
+    _extension_space,
     _models,
+    _superset_space,
     enumerate_extensions,
     enumerate_supersets,
     oracle_nqi,
@@ -41,6 +48,7 @@ from dqi.oracle import (
     oracle_realizable,
 )
 from dqi.problemgen import random_id_problem, random_linear_problem
+from dqi.reductions import PQI, ProblemInstance, pqi_to_nqi
 
 
 def toy():
@@ -306,3 +314,119 @@ def test_pqi_holds_when_the_base_already_satisfies_the_query():
     v = Instance(s, frozenset({Fact("R", (Const("a"),))}))
     q_visible = boolean_ucq([Atom("R", (Var("x"),))])
     assert oracle_pqi(q_visible, c, s, v, DomainBound(1, 8, 1e5)) == OracleAnswer(True, BOUNDED)
+
+
+# ---------------------------------------------------------------------------
+# the compiled triggers against the matcher
+
+
+def _reference_compile(c, q, base, pool):
+    """`_compile` through `find_homomorphisms` and `head_matches` alone."""
+    top = base.with_facts(pool)
+    bit = {f: 1 << i for i, f in enumerate(pool) if f not in base.facts}
+
+    def outside(facts):
+        return sum(bit.get(f, 0) for f in set(facts))
+
+    triggers = set()
+    for dep in c.dependencies:
+        for h in find_homomorphisms(dep.body, top):
+            if isinstance(dep, EGD):
+                if _term_value(dep.left, h) == _term_value(dep.right, h):
+                    continue
+                supports = frozenset()
+            else:
+                supports = frozenset(outside(apply_hom(d.atoms, g))
+                                     for d in dep.heads for g in head_matches(d, h, top))
+                if 0 in supports:
+                    continue
+            triggers.add((outside(apply_hom(dep.body, h)), supports))
+    matches = set()
+    if q is not None and not q.free_vars:
+        matches = {(outside(apply_hom(cq.atoms, h)), frozenset())
+                   for cq in q.disjuncts for h in find_homomorphisms(cq.atoms, top)}
+    return triggers, matches
+
+
+def _filed(index):
+    """An index as a set of (key, trigger) pairs, with the filing checked."""
+    out = set()
+    for key, triggers in index.items():
+        assert len(set(triggers)) == len(triggers)
+        for trigger in triggers:
+            assert key == trigger[0] & -trigger[0]
+            out.add(trigger)
+    return out
+
+
+_x, _y, _z, _u = Var("x"), Var("y"), Var("z"), Var("u")
+_a = CName("a")
+
+
+def _V(*args):
+    return Atom("V", args)
+
+
+def _H(*args):
+    return Atom("H", args)
+
+
+def _G(*args):
+    return Atom("G", args)
+
+
+_COMPILE_CASES = {
+    "head-constant": TGD((_V(_x, _y),), (HeadDisjunct((), (_H(_y, _a),)),)),
+    "repeated-variables": TGD((_V(_x, _x),), (HeadDisjunct((_u,), (_H(_u, _u),)),
+                                              HeadDisjunct((), (_H(_x, _x),)))),
+    "body-constant": TGD((_H(_a, _y),), (HeadDisjunct((_u,), (_H(_y, _u),)),)),
+    "empty-head": TGD((_H(_x, _y),), (HeadDisjunct((), ()), HeadDisjunct((), (_G(_x),)))),
+    "disjunctive-head": TGD((_H(_x, _y),), (HeadDisjunct((), (_G(_x),)),
+                                            HeadDisjunct((_u,), (_H(_y, _u),)))),
+    "support-in-base": TGD((_V(_x, _y),), (HeadDisjunct((), (_V(_y, _x),)),
+                                           HeadDisjunct((), (_G(_y),)))),
+    "existential-shadows-body": TGD((_V(_x, _y),), (HeadDisjunct((_y,), (_H(_x, _y),)),)),
+    "two-atom-head": TGD((_V(_x, _y),), (HeadDisjunct((_u,), (_H(_x, _u), _G(_u))),)),
+    "egd": EGD((_H(_x, _y),), _x, _y),
+    "egd-constant": EGD((_G(_x),), _x, _a),
+    "two-atom-body": TGD((_V(_x, _y), _H(_y, _z)), (HeadDisjunct((), (_G(_z),)),)),
+}
+
+
+def _compile_spaces():
+    """(label, c, q, base, pool): every hand-written dependency, alone and
+    all together, and seeded random problems with and without the
+    multi-atom bodies of `pqi_to_nqi`, over their extension and superset
+    spaces."""
+    s = Schema((RelationDecl("V", 2, True), RelationDecl("H", 2, False),
+                RelationDecl("G", 1, False)))
+    v = Instance(s, frozenset(Fact("V", (Const(x), Const(y))) for x, y in ("ab", "bb", "ba")))
+    q = boolean_ucq([_H(_x, _x)], [_G(_a)], [_V(_x, _y), _H(_y, _x)])
+    d = DomainBound(extra_values=1)
+    cases = [(name, ConstraintSet((dep,))) for name, dep in _COMPILE_CASES.items()]
+    cases.append(("all", ConstraintSet(tuple(_COMPILE_CASES.values()))))
+    for name, c in cases:
+        yield name, c, q, _extension_space(v, s, d, (Const("a"),))
+        yield name, c, q, _superset_space(v, s, d, (Const("a"),))
+    for seed in range(60):
+        q, c, s, v = _reference_problem(seed)
+        if seed % 4 == 2:
+            out = pqi_to_nqi(ProblemInstance(PQI, c, s, query=q, instance=v))
+            q, c, s, v = out.query, out.constraints, out.schema, out.instance
+        extra = tuple(map(Const, constant_names(c, q)))
+        yield f"random{seed}", c, q, _extension_space(v, s, d, extra)
+        yield f"random{seed}", c, q, _superset_space(v, v.schema, d, extra)
+
+
+def test_compiled_triggers_equal_the_matcher_reference():
+    nonempty = set()
+    for label, c, q, (base, pool) in _compile_spaces():
+        constraints, query = _compile(c, q, base, pool)
+        want_constraints, want_query = _reference_compile(c, q, base, pool)
+        assert _filed(constraints) == want_constraints, label
+        assert _filed(query) == want_query, label
+        if want_constraints:
+            nonempty.add(label)
+    # each hand-written case compiles some trigger, except the one whose
+    # empty disjunct holds everywhere
+    assert set(_COMPILE_CASES) - nonempty == {"empty-head"}

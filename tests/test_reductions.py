@@ -3,7 +3,7 @@ import random
 import pytest
 
 import differentials as D
-from dqi.core import Atom, ClassError, EGD, UCQ, Var
+from dqi.core import TGD, Atom, ClassError, ConstraintSet, EGD, HeadDisjunct, UCQ, Var
 from dqi.problemgen import (
     random_boolean_query,
     random_id_constraints,
@@ -19,6 +19,7 @@ from dqi.reductions import (
     PQI,
     ProblemInstance,
     REALIZABILITY,
+    constant_encoding_lift,
     disj_to_constants,
     exists_nqi_to_owq,
     nqi_to_realizability,
@@ -91,6 +92,27 @@ def test_disj_to_constants_rejects_egds():
     c2 = ConstraintSet(c.dependencies + (EGD((Atom(r.name, xs),), xs[0], xs[0]),))
     with pytest.raises(ClassError):
         disj_to_constants(ProblemInstance(EXISTS_PQI, c2, s, query=q))
+
+
+def test_constant_encoding_lift_lands_on_the_schema_of_disj_to_constants():
+    for seed in range(20):
+        q, c, s, v = random_linear_problem(random.Random(seed), max_heads=3)
+        p = ProblemInstance(EXISTS_PQI, c, s, query=q)
+        lifted = constant_encoding_lift(p, v)
+        assert lifted.schema == disj_to_constants(p).schema
+        assert len(lifted.facts) >= len(v.facts) + 1
+
+
+def test_constant_encoding_lift_rejects_egds_and_non_linear_sets():
+    q, c, s, v = random_linear_problem(random.Random(12))
+    r = s.visible_relations[0]
+    xs = tuple(Var(f"x{i}") for i in range(r.arity))
+    atom = Atom(r.name, xs)
+    with_egd = ConstraintSet(c.dependencies + (EGD((atom,), xs[0], xs[0]),))
+    two_atom_body = ConstraintSet(c.dependencies + (TGD((atom, atom), (HeadDisjunct((), (atom,)),)),))
+    for bad in (with_egd, two_atom_body):
+        with pytest.raises(ClassError):
+            constant_encoding_lift(ProblemInstance(EXISTS_PQI, bad, s, query=q), v)
 
 
 def test_pqi_to_nqi_adds_flag_machinery():
