@@ -40,9 +40,10 @@ groundings by matching the new visible facts into the visible part.
 
 Plus fact types for constant-free linear TGDs: a relation with the
 equality pattern of its values, kept canonical by `canon_pattern` and
-enumerated by `_patterns`; these and the term binder `bind_pattern` also
-serve `gfp`'s selected-attribute copies, whose patterns hold named
-constants.  `_bind` matches an atom against a type,
+enumerated by `_patterns`; these also serve `gfp`'s selected-attribute
+copies, whose patterns hold named constants, and `core.bind` binds terms
+to a pattern's entries as it does to a fact's values.  `_bind` matches an
+atom against a type,
 `_apply_linear` applies one TGD to it, and one breadth-first loop,
 `_reach`, saturates a set of types.  `fact_type_closure` maps every type
 to its stable type, the one its facts end up with once grounding has
@@ -65,7 +66,6 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping
 
 from .core import (
     Atom,
-    CName,
     CQ,
     Const,
     ConstraintSet,
@@ -90,6 +90,7 @@ from .core import (
     _term_value,
     active_domain,
     apply_hom,
+    bind,
     components,
     critical_instance,
     eval_ucq,
@@ -423,8 +424,7 @@ def _grounding_children(
         return []  # nothing to match into, as in every chase of `decide_exists_nqi`
     move: List[Value] = list(dict.fromkeys(v for f in new_visible for v in f.args if isinstance(v, Null)))
     as_var = {n: Var(value_name(n)) for n in move}
-    atoms = [Atom(f.relation, tuple(as_var[v] if isinstance(v, Null) else CName(v.name) for v in f.args))
-             for f in new_visible]
+    atoms = [Atom(f.relation, tuple(as_var.get(v, v) for v in f.args)) for f in new_visible]
     rank = {v: i for i, v in enumerate(sorted(active_domain(visible_part), key=value_key))}
     groundings = sorted((tuple(h[as_var[n]] for n in move) for h in find_homomorphisms(atoms, visible_part)),
                         key=lambda combo: [rank[v] for v in combo])
@@ -520,22 +520,23 @@ def visible_chase(
 #
 # A pattern abstracts a tuple by which positions hold equal values and
 # which hold a constant.  Each entry is a constant -- `A_MARK`, the
-# distinguished value `a` of the critical instance, or the `CName` of a
-# named constant -- or a group number (equal numbers mean equal values).
+# distinguished value `a` of the critical instance, or a named `Const`
+# -- or a group number (equal numbers mean equal values).
 # Groups are canonically renumbered 1, 2, ... in order of first occurrence.
 # Fact types below and the selected-attribute copies of `gfp` share it.
 
 A_MARK = 0
-Pattern = Tuple[Union[int, CName], ...]
+Pattern = Tuple[Union[int, Const], ...]
 
 
 def canon_pattern(entries: Sequence[Hashable]) -> Pattern:
     """Renumber the group labels of a pattern 1, 2, ... by first occurrence.
 
-    `A_MARK` and `CName` entries are constants; any other hashable is a
-    group label, so a fact's values or an atom's terms give their pattern."""
+    `A_MARK` and `Const` entries are constants; any other hashable is a
+    group label, so an atom's terms give their pattern (a fact's values are
+    labels only once mapped to something else, such as their `value_key`)."""
     ren: Dict[Hashable, int] = {}
-    return tuple(e if e == A_MARK or isinstance(e, CName) else ren.setdefault(e, len(ren) + 1)
+    return tuple(e if e == A_MARK or isinstance(e, Const) else ren.setdefault(e, len(ren) + 1)
                  for e in entries)
 
 
@@ -548,21 +549,6 @@ def _patterns(arity: int, constants: Sequence[Hashable] = (A_MARK,)) -> List[Pat
         level = [(p + (e,), top + (e == top + 1))
                  for p, top in level for e in (*constants, *range(1, top + 2))]
     return [p for p, _ in level]
-
-
-def bind_pattern(terms: Sequence[Union[Var, CName]], pattern: Pattern) -> Optional[Dict[Var, Hashable]]:
-    """Bind each variable of `terms` to the pattern entry at its positions.
-
-    A variable may meet only one entry, and a constant term only its own
-    `CName` entry; otherwise None."""
-    bound: Dict[Var, Hashable] = {}
-    for t, e in zip(terms, pattern):
-        if isinstance(t, CName):
-            if t != e:
-                return None
-        elif bound.setdefault(t, e) != e:
-            return None
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +599,7 @@ def _bind(atom: Atom, t: FactType) -> Optional[Dict[Var, int]]:
     when the relation or the equalities disagree."""
     if atom.relation != t.relation:
         return None
-    return bind_pattern(atom.args, t.pattern)  # type: ignore[return-value]
+    return bind(atom.args, t.pattern, {})
 
 
 def _apply_linear(dep: TGD, t: FactType) -> Optional[Tuple[FactType, Tuple[Tuple[int, int], ...]]]:
@@ -758,10 +744,10 @@ def decide_owq_atomic_linear(q: UCQ, c: ConstraintSet, i: Instance) -> Optional[
         if len(d.atoms) != 1:
             return None
         atom = d.atoms[0]
-        if any(isinstance(t, CName) for t in atom.args):
+        if any(isinstance(t, Const) for t in atom.args):
             return None
         shapes.append(atom)
-    start = [FactType(f.relation, canon_pattern(f.args)) for f in i.facts]
+    start = [FactType(f.relation, canon_pattern([value_key(v) for v in f.args])) for f in i.facts]
     reached, _ = _reach(linear, start, lambda t: t)
     return any(_bind(a, t) is not None for a in shapes for t in reached)
 
@@ -791,7 +777,7 @@ def decide_pqi_critical_linear(q: UCQ, c: ConstraintSet, s: Schema) -> bool:
 
 
 def _disjunct_embeds(d: CQ, closure: TypeClosure, forest: "_Forest") -> bool:
-    if any(isinstance(t, CName) for atom in d.atoms for t in atom.args):
+    if any(isinstance(t, Const) for atom in d.atoms for t in atom.args):
         return False  # constant-free setting
     variables = list(d.variables)
     for assignment in (dict(zip(variables, p)) for p in _patterns(len(variables))):

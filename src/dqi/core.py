@@ -66,17 +66,8 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class CName:
-    """A constant mentioned inside a formula."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return f"CName({self.name!r})"
-
-
-Term = Union[Var, CName]
+# A constant written in a formula is the value it names (unique names).
+Term = Union[Var, Const]
 
 
 class NullSource:
@@ -157,11 +148,17 @@ class Atom:
 
     @property
     def variables(self) -> Tuple[Var, ...]:
-        seen = []
-        for t in self.args:
+        return variables_of((self,))
+
+
+def variables_of(atoms: Iterable[Atom]) -> Tuple[Var, ...]:
+    """The variables of `atoms`, each once, in order of first occurrence."""
+    seen: List[Var] = []
+    for a in atoms:
+        for t in a.args:
             if isinstance(t, Var) and t not in seen:
                 seen.append(t)
-        return tuple(seen)
+    return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -404,12 +401,7 @@ class CQ:
 
     @property
     def variables(self) -> Tuple[Var, ...]:
-        seen = list(self.free_vars)
-        for a in self.atoms:
-            for v in a.variables:
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+        return self.free_vars + tuple(v for v in variables_of(self.atoms) if v not in self.free_vars)
 
 
 @dataclass(frozen=True)
@@ -432,12 +424,7 @@ class UCQ:
 def boolean_cq(atoms: Sequence[Atom]) -> CQ:
     """Boolean CQ existentially quantifying every variable of `atoms`."""
     atoms = tuple(atoms)
-    seen: list = []
-    for a in atoms:
-        for v in a.variables:
-            if v not in seen:
-                seen.append(v)
-    return CQ(free_vars=(), exist_vars=tuple(seen), atoms=atoms)
+    return CQ(free_vars=(), exist_vars=variables_of(atoms), atoms=atoms)
 
 
 def boolean_ucq(*disjunct_atoms: Sequence[Atom]) -> UCQ:
@@ -451,9 +438,7 @@ Homomorphism = Dict[Var, Value]
 
 
 def _term_value(t: Term, mapping: Mapping[Var, Value]) -> Optional[Value]:
-    if isinstance(t, CName):
-        return Const(t.name)
-    return mapping.get(t)
+    return t if isinstance(t, Const) else mapping.get(t)
 
 
 MatchState = Tuple[Dict[str, list], Dict[Tuple[str, int, Tuple[int, ...]], Dict[Tuple, list]]]
@@ -522,19 +507,34 @@ def find_homomorphisms(
     return extend(base, remaining)
 
 
+H = TypeVar("H", bound=Hashable)
+
+
+def bind(terms: Sequence[Term], values: Sequence[Optional[H]], seed: Mapping[Var, H]) -> Optional[Dict[Var, H]]:
+    """The extension of `seed` that binds each variable of `terms` to the
+    value at its positions, or None when a constant term meets another
+    value or a variable two values.  A None value binds nothing.
+
+    The values may be a fact's values, the entries of an equality pattern
+    (`chase.canon_pattern`) or the known values of a partially bound atom."""
+    m = dict(seed)
+    for t, v in zip(terms, values):
+        if v is None:
+            continue
+        if isinstance(t, Const):
+            if t != v:
+                return None
+        elif m.setdefault(t, v) != v:
+            return None
+    return m
+
+
 def match_fact(atom: Atom, fact: Fact, seed: Mapping[Var, Value]) -> Optional[Homomorphism]:
     """The extension of `seed` that maps `atom` onto `fact`, or None when
     the relation, a constant or an already bound variable disagrees."""
     if atom.relation != fact.relation or len(atom.args) != len(fact.args):
         return None
-    m = dict(seed)
-    for t, v in zip(atom.args, fact.args):
-        if isinstance(t, CName):
-            if not (isinstance(v, Const) and v.name == t.name):
-                return None
-        elif m.setdefault(t, v) != v:
-            return None
-    return m
+    return bind(atom.args, fact.args, seed)
 
 
 Support = Tuple[Fact, ...]
@@ -550,8 +550,8 @@ def _atom_plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optiona
     consts: List[Tuple[int, Const]] = []
     equal: List[Tuple[int, int]] = []
     for i, t in enumerate(atom.args):
-        if isinstance(t, CName):
-            consts.append((i, Const(t.name)))
+        if isinstance(t, Const):
+            consts.append((i, t))
         elif first.setdefault(t, i) != i:
             equal.append((i, first[t]))
     positions = [first[x] for x in keys]
@@ -655,15 +655,8 @@ def ground_nulls(i: Instance) -> Instance:
 
 def instance_hom_exists(source: Instance, target: Instance) -> bool:
     """Is there a homomorphism source -> target fixing constants?"""
-    atoms = []
-    for f in source.sorted_facts():
-        args: list = []
-        for v in f.args:
-            if isinstance(v, Const):
-                args.append(CName(v.name))
-            else:
-                args.append(Var(f"n_{v.id}"))
-        atoms.append(Atom(f.relation, tuple(args)))
+    atoms = [Atom(f.relation, tuple(v if isinstance(v, Const) else Var(f"n_{v.id}") for v in f.args))
+             for f in source.sorted_facts()]
     for _ in find_homomorphisms(atoms, target):
         return True
     return False
@@ -741,7 +734,7 @@ NONATOMIC_HEAD_TAG = "NonAtomicHead"  # a head disjunct is a conjunction or empt
 
 
 def _atom_constants(a: Atom) -> bool:
-    return any(isinstance(t, CName) for t in a.args)
+    return any(isinstance(t, Const) for t in a.args)
 
 
 def _dep_atoms(dep: Dependency) -> Iterator[Atom]:
@@ -763,11 +756,11 @@ def constant_names(
             terms = [t for a in _dep_atoms(dep) for t in a.args]
             if isinstance(dep, EGD):
                 terms += [dep.left, dep.right]
-            names.update(t.name for t in terms if isinstance(t, CName))
+            names.update(t.name for t in terms if isinstance(t, Const))
     if q is not None:
         names.update(
             t.name for d in q.disjuncts for a in d.atoms for t in a.args
-            if isinstance(t, CName)
+            if isinstance(t, Const)
         )
     return tuple(sorted(names))
 
@@ -875,18 +868,14 @@ def normalize_single_head(c: ConstraintSet, s: Schema) -> Tuple[ConstraintSet, S
     existing = set(s.by_name)
 
     def route(head: HeadDisjunct) -> HeadDisjunct:
-        head_vars = []
-        for a in head.atoms:
-            for v in a.variables:
-                if v not in head_vars:
-                    head_vars.append(v)
+        head_vars = variables_of(head.atoms)
         while True:
             aux_name = f"_aux_h{next(counter)}"
             if aux_name not in existing:
                 break
         existing.add(aux_name)
         extra.append(RelationDecl(aux_name, len(head_vars), visible=False))
-        aux_atom = Atom(aux_name, tuple(head_vars))
+        aux_atom = Atom(aux_name, head_vars)
         for a in head.atoms:
             deps.append(TGD((aux_atom,), (HeadDisjunct((), (a,)),)))
         return HeadDisjunct(head.exist_vars, (aux_atom,))

@@ -18,7 +18,6 @@ from .core import (
     CQ,
     UCQ,
     Atom,
-    CName,
     ClassError,
     Const,
     ConstraintSet,
@@ -291,7 +290,7 @@ def decide_exists_nqi(q: UCQ, c: ConstraintSet, s: Schema, b: ChaseBudget) -> Ve
 # non-Boolean queries: per-tuple verdicts
 
 
-def _substitute(q: UCQ, binding: Dict[Var, CName]) -> UCQ:
+def _substitute(q: UCQ, binding: Dict[Var, Const]) -> UCQ:
     disjuncts = []
     for d in q.disjuncts:
         atoms = tuple(
@@ -309,8 +308,7 @@ def _decide_tuples(decider, q: UCQ, c: ConstraintSet, s: Schema, v: Instance,
     adom = sorted((x for x in active_domain(v) if isinstance(x, Const)), key=value_key)
     verdicts: Dict[Tuple[Value, ...], Verdict] = {}
     for tup in itertools.product(adom, repeat=len(q.free_vars)):
-        binding = {var: CName(val.name) for var, val in zip(q.free_vars, tup)}
-        verdicts[tup] = decider(_substitute(q, binding), c, s, v, b)
+        verdicts[tup] = decider(_substitute(q, dict(zip(q.free_vars, tup))), c, s, v, b)
     answers = frozenset(t for t, verdict in verdicts.items() if verdict.value is True)
     return answers, verdicts
 

@@ -9,7 +9,8 @@ polynomial data time.  The pipeline has three stages:
    in the input).  Hidden relations are split into copies ``R[I,u]`` that
    record which attribute positions hold active-domain values (``I``) and
    the equality pattern ``u`` of the remaining positions, in the pattern
-   encoding of ``chase`` with the named constants as its constants.
+   encoding of ``chase`` with the named constants as its constants; terms
+   are bound to a pattern's entries by ``core.bind``.
 2. ``build_gfp_program`` compiles the (controllable) problem into a Datalog
    program whose rules gate every hidden tuple on the active domain and on
    the heads of the constraints it must satisfy.
@@ -22,7 +23,7 @@ polynomial data time.  The pipeline has three stages:
    relation with a single rule bound by extensional atoms, which is
    unfolded into the rules that use it.  Its facts are derived from the
    rules either all at once or only where one partially bound atom can
-   match.
+   match, whose known values ``core.bind`` binds to each rule head.
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
@@ -45,11 +46,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     Atom,
-    CName,
     ClassError,
     Const,
     ConstraintSet,
@@ -63,11 +63,13 @@ from .core import (
     SchemaError,
     Support,
     TGD,
+    Term,
     UCQ,
     Value,
     Var,
     active_domain,
     apply_hom,
+    bind,
     boolean_cq,
     constant_names,
     find_homomorphisms,
@@ -82,7 +84,7 @@ from .core import (
     ID_TAG,
     LINEAR_TAG,
 )
-from .chase import Pattern, _patterns, bind_pattern, canon_pattern
+from .chase import Pattern, _patterns, canon_pattern
 from .textio import _fo_atom
 
 # size limits of the selected-attribute transform
@@ -138,7 +140,7 @@ class AdomTransform:
         k = max((r.arity for r in self.source_schema.relations), default=0)
         taken = {v.name for v in avoid if isinstance(v, Const)}
         taken.update(
-            e.name for cp in self.copies for e in cp.pattern if isinstance(e, CName)
+            e.name for cp in self.copies for e in cp.pattern if isinstance(e, Const)
         )
         pool: List[Const] = []
         i = 0
@@ -164,13 +166,13 @@ class AdomTransform:
             copy = by_name.get(f.relation)
             if copy is None:
                 continue
-            groups = {e for e in copy.pattern if not isinstance(e, CName)}
+            groups = {e for e in copy.pattern if not isinstance(e, Const)}
             for combo in itertools.permutations(pool, len(groups)):
                 args: List[Optional[Value]] = [None] * copy.source_arity
                 for pos, v in zip(copy.selected, f.args):
                     args[pos] = v
                 for pos, e in zip(copy.dropped, copy.pattern):
-                    args[pos] = Const(e.name) if isinstance(e, CName) else combo[e - 1]
+                    args[pos] = e if isinstance(e, Const) else combo[e - 1]
                 facts.add(Fact(copy.source, tuple(args)))  # type: ignore[arg-type]
         return Instance(self.source_schema, frozenset(facts))
 
@@ -186,10 +188,10 @@ def _require_plain_linear(c: ConstraintSet, allow_disjunctive: bool = False) -> 
 
 
 def _unify_dropped(
-    terms: Sequence[Union[Var, CName]],
+    terms: Sequence[Term],
     pattern: Pattern,
     selected_vars: Set[Var],
-) -> Optional[Dict[Var, Union[Var, CName]]]:
+) -> Optional[Dict[Var, Term]]:
     """Match the dropped body positions of an atom against a copy pattern.
 
     Returns a substitution for the atom's variables, or None when no sound
@@ -201,13 +203,13 @@ def _unify_dropped(
     dropped occurrences must pin down a single entry, constants must appear
     literally, and a variable cannot live on both sides of the split.
     """
-    entry_of = bind_pattern(terms, pattern)
+    entry_of = bind(terms, pattern, {})
     if entry_of is None:
         return None
-    subst: Dict[Var, Union[Var, CName]] = {}
+    subst: Dict[Var, Term] = {}
     rep_for_entry: Dict[int, Var] = {}
     for t, e in entry_of.items():
-        if isinstance(e, CName):
+        if isinstance(e, Const):
             subst[t] = e
         else:
             if t in selected_vars:
@@ -217,7 +219,7 @@ def _unify_dropped(
     return subst
 
 
-def _apply_subst(atom: Atom, subst: Mapping[Var, Union[Var, CName]]) -> Atom:
+def _apply_subst(atom: Atom, subst: Mapping[Var, Term]) -> Atom:
     return Atom(
         atom.relation,
         tuple(subst.get(t, t) if isinstance(t, Var) else t for t in atom.args),
@@ -232,7 +234,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     if q.free_vars:
         raise ClassError("the transform expects a Boolean query")
     c, s = normalize_single_head(c, s)
-    pool = tuple(map(CName, constant_names(c, q)))
+    pool = tuple(map(Const, constant_names(c, q)))
     taken = set(s.by_name)
 
     # copies of every hidden relation, one per (selected set, pattern)
@@ -273,7 +275,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     def head_translation(
         head_atom: Atom,
         exist_vars: Tuple[Var, ...],
-        subst: Dict[Var, Union[Var, CName]],
+        subst: Dict[Var, Term],
         selected_vars: Set[Var],
     ) -> Optional[List[HeadDisjunct]]:
         """Translate a head atom given the body substitution.
@@ -322,7 +324,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
         head = tgd.heads[0]
         head_atom = head.atoms[0]
         body_decl = s.decl(body.relation)
-        body_copies: List[Tuple[Atom, Dict[Var, Union[Var, CName]]]] = []
+        body_copies: List[Tuple[Atom, Dict[Var, Term]]] = []
         if body_decl.visible:
             body_copies.append((body, {}))
         else:
@@ -358,13 +360,13 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
             else:
                 for cp in copies_of[a.relation]:
                     sel_terms = tuple(a.args[i] for i in cp.selected)
-                    entry_of = bind_pattern(tuple(a.args[i] for i in cp.dropped), cp.pattern)
+                    entry_of = bind([a.args[i] for i in cp.dropped], cp.pattern, {})
                     if entry_of is None:
                         continue
                     marks: Dict[Var, object] = {t: "sel" for t in sel_terms if isinstance(t, Var)}
                     if any(t in marks for t in entry_of):
                         continue  # split within one atom
-                    marks.update((t, e if isinstance(e, CName) else "pat") for t, e in entry_of.items())
+                    marks.update((t, e if isinstance(e, Const) else "pat") for t, e in entry_of.items())
                     opts.append((Atom(cp.name, sel_terms), marks))
             choices_per_atom.append(opts)
         for combo in itertools.product(*choices_per_atom):
@@ -375,7 +377,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
             if not all(global_marks.setdefault(v, m) == m
                        for _, marks in combo for v, m in marks.items()):
                 continue
-            subst = {v: m for v, m in global_marks.items() if isinstance(m, CName)}
+            subst = {v: m for v, m in global_marks.items() if isinstance(m, Const)}
             atoms = tuple(_apply_subst(a, subst) for a, _ in combo)
             cq = boolean_cq(atoms)
             if cq not in new_disjuncts:
@@ -483,7 +485,7 @@ def build_gfp_program(
         for i in range(rel.arity):
             rules.append(DatalogRule(Atom(a_name, (args[i],)), (Atom(rel.name, args),)))
     for name in constants:
-        rules.append(DatalogRule(Atom(a_name, (CName(name),)), ()))
+        rules.append(DatalogRule(Atom(a_name, (Const(name),)), ()))
 
     # hidden relations: one rule per body shape a constraint distinguishes
     tgds_by_rel: Dict[str, List[TGD]] = {}
@@ -497,14 +499,14 @@ def build_gfp_program(
             if pat not in shapes:
                 shapes.append(pat)
         for shape in shapes:
-            arg_of: Dict[object, Union[Var, CName]] = {
-                e: e if isinstance(e, CName) else Var(f"w{e - 1}") for e in shape
+            arg_of: Dict[object, Term] = {
+                e: e if isinstance(e, Const) else Var(f"w{e - 1}") for e in shape
             }
             head = Atom(rel.name, tuple(arg_of[e] for e in shape))
             body = [Atom(a_name, (t,)) for t in arg_of.values()]
             for t in tgds_by_rel.get(rel.name, ()):
                 # does every tuple of this shape trigger the constraint?
-                bound = bind_pattern(t.body[0].args, shape)
+                bound = bind(t.body[0].args, shape, {})
                 if bound is None:
                     continue
                 m = {v: arg_of[e] for v, e in bound.items()}
@@ -581,8 +583,8 @@ class _MaximalDatabase:
         feasible: List[Tuple[DatalogRule, Tuple[Atom, ...]]] = []
         for r in p.rules:
             int_terms = [t for a in r.body if a.relation in p.intensional for t in a.args]
-            if any(Const(t.name) not in self.domain_set if isinstance(t, CName)
-                   else not self.domain for t in int_terms):
+            if any(t not in self.domain_set if isinstance(t, Const) else not self.domain
+                   for t in int_terms):
                 continue
             feasible.append((r, tuple(a for a in r.body if a.relation not in p.intensional)))
         # the relations that unfold, with the head and extensional atoms of
@@ -599,7 +601,7 @@ class _MaximalDatabase:
         # constant outside the domain makes a rule derive nothing
         self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
         for r, ext_atoms in feasible:
-            if any(isinstance(t, CName) and Const(t.name) not in self.domain_set for t in r.head.args):
+            if any(isinstance(t, Const) and t not in self.domain_set for t in r.head.args):
                 continue
             gained: List[Atom] = []
             for n, a in enumerate(r.body):
@@ -608,7 +610,7 @@ class _MaximalDatabase:
                 head, atoms = unfold[a.relation]
                 # head variables become the atom's terms; the others are
                 # renamed apart with a dot, which no parsed name contains
-                ren: Dict[Var, Union[Var, CName]] = dict(zip(head.args, a.args))  # type: ignore[arg-type]
+                ren: Dict[Var, Term] = dict(zip(head.args, a.args))  # type: ignore[arg-type]
                 for b in atoms:
                     for x in b.variables:
                         ren.setdefault(x, Var(f"{n}.{x.name}"))
@@ -633,9 +635,11 @@ class _MaximalDatabase:
             len(set(atom.args)) == len(atom.args)
             and all(isinstance(t, Var) and t not in seed for t in atom.args)
         )
+        # the values `atom` fixes: its constants and the variables `seed` binds
+        known = () if atom is None else [t if isinstance(t, Const) else seed.get(t) for t in atom.args]
         out: Set[Fact] = set()
         for head, ext_atoms in rules:
-            bound = {} if atom is None else _bind_head(head, atom, seed)
+            bound = bind(head.args, known, {})
             if bound is None or any(val not in self.domain_set for val in bound.values()):
                 continue
             head_vars = head.variables
@@ -644,28 +648,11 @@ class _MaximalDatabase:
                 for combo in itertools.product(self.domain, repeat=len(free)):
                     m = {**h, **dict(zip(free, combo))} if combo else h
                     fact = Fact(head.relation, tuple(
-                        m[t] if isinstance(t, Var) else Const(t.name) for t in head.args
+                        m[t] if isinstance(t, Var) else t for t in head.args
                     ))
                     if whole or match_fact(atom, fact, seed) is not None:
                         out.add(fact)
         return out
-
-
-def _bind_head(head: Atom, atom: Atom, seed: Mapping[Var, Value]) -> Optional[Dict[Var, Value]]:
-    """The values a rule head's variables take where `atom` holds a
-    constant or a variable bound by `seed`, or None when a rule constant
-    disagrees with one of them."""
-    m: Dict[Var, Value] = {}
-    for ht, at in zip(head.args, atom.args):
-        v = Const(at.name) if isinstance(at, CName) else seed.get(at)
-        if v is None:
-            continue
-        if isinstance(ht, CName):
-            if v != Const(ht.name):
-                return None
-        elif m.setdefault(ht, v) != v:
-            return None
-    return m
 
 
 def _prune_unsupported(

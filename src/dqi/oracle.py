@@ -84,6 +84,12 @@ class DomainBound:
     max_facts_total: int = 12
     space_ceiling: float = 5e6
 
+    def __post_init__(self) -> None:
+        if min(self.extra_values, self.max_facts_total) < 0:
+            raise ValueError("extra values and the fact bound must not be negative")
+        if not self.space_ceiling > 0:  # also rejects nan, which would turn the ceiling off
+            raise ValueError("the space ceiling must be positive")
+
 
 @dataclass(frozen=True)
 class OracleAnswer:

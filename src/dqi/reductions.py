@@ -17,7 +17,6 @@ from .core import (
     CQ,
     UCQ,
     Atom,
-    CName,
     ClassError,
     Const,
     ConstraintSet,
@@ -242,7 +241,7 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
     widths, or_names, check_names, init_name, zero_name_v, one_name_v, s2 = _constant_encoding(p)
     q, c = p.query, p.constraints
     assert q is not None
-    zero, one = CName(zero_name_v), CName(one_name_v)
+    zero, one = Const(zero_name_v), Const(one_name_v)
 
     deps: List[Dependency] = []
     for t in c.tgds:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     Atom,
-    CName,
     CQ,
     Const,
     ConstraintSet,
@@ -45,7 +44,9 @@ from .core import (
     UCQ,
     Value,
     Var,
+    _dep_atoms,
     value_name,
+    variables_of,
 )
 
 HEADER = "dqi-1"
@@ -188,9 +189,11 @@ def parse(text: str) -> ProblemFile:
             raw_instances[name] = _parse_instance_block(p)
         else:
             raise ParseError(f"unknown section {kw.text!r}", kw.line, kw.col)
-    _check_constraints(schema, deps)
+    for dep in deps:
+        _check_atoms(schema, _dep_atoms(dep))
     for q in queries.values():
-        _check_query(schema, q)
+        for d in q.disjuncts:
+            _check_atoms(schema, d.atoms)
     instances: Dict[str, Instance] = {}
     for name, raw in raw_instances.items():
         facts = set()
@@ -226,11 +229,11 @@ def _parse_schema(p: _Parser) -> Schema:
 def _parse_term(p: _Parser) -> Term:
     t = p.next()
     if t.kind == "string":
-        return CName(_unquote(t.text))
+        return Const(_unquote(t.text))
     if t.kind == "name":
         if _LOWER_NAME.match(t.text):
             return Var(t.text)
-        return CName(t.text)
+        return Const(t.text)
     raise ParseError(f"expected term, found {t.text!r}", t.line, t.col)
 
 
@@ -317,12 +320,8 @@ def _parse_query(p: _Parser) -> UCQ:
     while True:
         exist = _parse_binders(p)
         atoms = _parse_conjunction(p)
-        free: List[Var] = []
-        for a in atoms:
-            for v in a.variables:
-                if v not in exist and v not in free:
-                    free.append(v)
-        disjuncts.append(CQ(tuple(free), tuple(exist), tuple(atoms)))
+        free = tuple(v for v in variables_of(atoms) if v not in exist)
+        disjuncts.append(CQ(free, tuple(exist), tuple(atoms)))
         if p.at("|"):
             p.next()
             continue
@@ -362,28 +361,13 @@ def _unquote(s: str) -> str:
     return s[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _check_constraints(schema: Schema, deps: Sequence[Dependency]) -> None:
-    for dep in deps:
-        atoms = list(dep.body)
-        if isinstance(dep, TGD):
-            for h in dep.heads:
-                atoms.extend(h.atoms)
-        for a in atoms:
-            decl = schema.by_name.get(a.relation)
-            if decl is None:
-                raise SchemaError(f"undeclared relation {a.relation}")
-            if decl.arity != len(a.args):
-                raise SchemaError(f"arity mismatch for {a.relation}")
-
-
-def _check_query(schema: Schema, q: UCQ) -> None:
-    for d in q.disjuncts:
-        for a in d.atoms:
-            decl = schema.by_name.get(a.relation)
-            if decl is None:
-                raise SchemaError(f"undeclared relation {a.relation}")
-            if decl.arity != len(a.args):
-                raise SchemaError(f"arity mismatch for {a.relation}")
+def _check_atoms(schema: Schema, atoms: Iterable[Atom]) -> None:
+    for a in atoms:
+        decl = schema.by_name.get(a.relation)
+        if decl is None:
+            raise SchemaError(f"undeclared relation {a.relation}")
+        if decl.arity != len(a.args):
+            raise SchemaError(f"arity mismatch for {a.relation}")
 
 
 # ---------------------------------------------------------------------------

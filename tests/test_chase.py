@@ -32,7 +32,6 @@ from dqi.core import (
     CONST_TAG,
     DISJ_TAG,
     Atom,
-    CName,
     Const,
     ConstraintSet,
     EGD,
@@ -492,7 +491,7 @@ def test_patterns_enumerates_each_canonical_pattern_once():
     # a pattern of n positions gives n - m of them one of the k constants
     # and splits the other m into groups, one of Bell(m) set partitions
     bell = (1, 1, 2, 5, 15, 52)
-    for constants in ((), (A_MARK,), (CName("k"), CName("m"))):
+    for constants in ((), (A_MARK,), (Const("k"), Const("m"))):
         k = len(constants)
         for n in range(6):
             pats = _patterns(n, constants)

@@ -101,6 +101,15 @@ def test_oracle_subcommand(capsys):
     assert json.loads(out)["verdict"] == "false"
 
 
+@pytest.mark.parametrize("flag, value", [("--max-facts", "-1"), ("--extra-values", "-1"),
+                                         ("--space-ceiling", "nan"), ("--space-ceiling", "0")])
+def test_oracle_rejects_a_malformed_bound(capsys, flag, value):
+    code, out, err = run(capsys, "oracle", "nqi", "--file", MEDICAL,
+                         "--instance", "Vsmith", flag, value)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:")
+
+
 def test_chase_subcommands(capsys, tmp_path):
     code, out, _ = run(capsys, "chase", "classical", "--file", SEPARATION,
                        "--instance", "V")

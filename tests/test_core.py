@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dqi.core import (
     Atom,
     CQ,
-    CName,
     Const,
     ConstraintSet,
     EGD,
@@ -23,6 +22,7 @@ from dqi.core import (
     Var,
     active_domain,
     apply_hom,
+    bind,
     boolean_cq,
     boolean_ucq,
     canonical_db,
@@ -44,6 +44,7 @@ from dqi.core import (
     ID_TAG,
     LINEAR_TAG,
 )
+from dqi.chase import A_MARK
 from dqi.problemgen import random_id_problem, random_visible_instance, random_schema
 
 
@@ -82,8 +83,8 @@ def test_eval_ucq_union_takes_any_disjunct():
 def test_eval_ucq_constant_must_match():
     s = simple_schema()
     i = inst(s, Fact("S", (Const("a"),)))
-    assert eval_ucq(boolean_ucq([Atom("S", (CName("a"),))]), i) is True
-    assert eval_ucq(boolean_ucq([Atom("S", (CName("b"),))]), i) is False
+    assert eval_ucq(boolean_ucq([Atom("S", (Const("a"),))]), i) is True
+    assert eval_ucq(boolean_ucq([Atom("S", (Const("b"),))]), i) is False
 
 
 def test_cq_rejects_unused_free_variable():
@@ -162,7 +163,7 @@ def test_match_fact_binds_a_repeated_variable_once():
 
 def test_match_fact_checks_a_constant():
     x = Var("x")
-    atom = Atom("R", (CName("k"), x))
+    atom = Atom("R", (Const("k"), x))
     assert match_fact(atom, Fact("R", (Const("k"), Const("a"))), {}) == {x: Const("a")}
     assert match_fact(atom, Fact("R", (Const("j"), Const("a"))), {}) is None
     assert match_fact(atom, Fact("R", (Null(1), Const("a"))), {}) is None
@@ -177,6 +178,34 @@ def test_match_fact_extends_the_seed_and_rejects_a_conflict():
     assert m == {z: b, x: a, y: b} and list(m) == [z, x, y]
     assert seed == {z: b, x: a}
     assert match_fact(atom, Fact("R", (b, b)), seed) is None
+
+
+def test_bind_skips_a_none_value():
+    x, y = Var("x"), Var("y")
+    a = Const("a")
+    assert bind((x, y, x), (None, a, None), {}) == {y: a}
+    assert bind((Const("k"), x), (None, None), {y: a}) == {y: a}
+
+
+def test_bind_meets_a_constant_only_with_itself():
+    x = Var("x")
+    k = Const("k")
+    assert bind((k, x), (k, Const("a")), {}) == {x: Const("a")}
+    assert bind((k,), (Const("j"),), {}) is None
+    assert bind((k,), (Null(1),), {}) is None
+    assert bind((k,), (1,), {}) is None
+
+
+def test_bind_reads_pattern_entries_as_fact_values():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    k = Const("k")
+    assert bind((x, y, x, z), (1, A_MARK, 1, k), {}) == {x: 1, y: A_MARK, z: k}
+    assert bind((x, x), (1, 2), {}) is None
+    assert bind((x, k), (A_MARK, k), {}) == {x: A_MARK}
+    assert bind((k, x), (A_MARK, 1), {}) is None
+    seed = {x: 2}
+    assert bind((x, y), (2, 1), seed) == {x: 2, y: 1} and seed == {x: 2}
+    assert bind((x,), (1,), seed) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,9 +281,9 @@ def test_classify_repeated_variable_is_not_id():
 
 def test_classify_constants_and_disjunction():
     c = ConstraintSet((
-        TGD((Atom("S", (CName("a"),)),),
-            (HeadDisjunct((), (Atom("S", (CName("a"),)),)),
-             HeadDisjunct((), (Atom("R", (CName("a"), CName("a"))),)))),
+        TGD((Atom("S", (Const("a"),)),),
+            (HeadDisjunct((), (Atom("S", (Const("a"),)),)),
+             HeadDisjunct((), (Atom("R", (Const("a"), Const("a"))),)))),
     ))
     tags = c.tags
     assert CONST_TAG in tags and DISJ_TAG in tags

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dqi.core import (
     Atom,
-    CName,
     ClassError,
     Const,
     ConstraintSet,
@@ -251,8 +250,8 @@ def test_largest_model_keeps_a_fact_until_its_last_disjunct_dies():
 def test_program_text_escapes_a_quoted_constant():
     s = Schema((RelationDecl("R", 1, True), RelationDecl("H", 1, False)))
     c = ConstraintSet((
-        TGD((Atom("H", (CName('a"b'),)),),
-            (HeadDisjunct((), (Atom("R", (CName('a"b'),)),)),)),
+        TGD((Atom("H", (Const('a"b'),)),),
+            (HeadDisjunct((), (Atom("R", (Const('a"b'),)),)),)),
     ))
     q = boolean_ucq([Atom("H", (Var("x"),))])
     text = program_text(build_gfp_program(q, c, s))
@@ -266,7 +265,7 @@ def test_program_text_names_shape_variables_from_w0():
     s = Schema((RelationDecl("R", 1, True), RelationDecl("H", 3, False)))
     x = Var("x")
     c = ConstraintSet((
-        TGD((Atom("H", (x, x, CName("k"))),), (HeadDisjunct((), (Atom("R", (x,)),)),)),
+        TGD((Atom("H", (x, x, Const("k"))),), (HeadDisjunct((), (Atom("R", (x,)),)),)),
     ))
     q = boolean_ucq([Atom("H", (x, x, x))])
     lines = program_text(build_gfp_program(q, c, s)).splitlines()
@@ -357,7 +356,7 @@ _S_OF_R = DatalogRule(Atom("S", (_x, _y)), (Atom("R", (_x, _y)),))
     ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _y)),)),
       DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_y, _x)),)), _S_OF_R], (), "S", False),
     ([DatalogRule(Atom("R", (_x, _x)), (Atom("E", (_x, _y)),)), _S_OF_R], (), "S", False),
-    ([DatalogRule(Atom("R", (_x, CName("k"))), (Atom("E", (_x, _y)),)), _S_OF_R], ("k",), "S", False),
+    ([DatalogRule(Atom("R", (_x, Const("k"))), (Atom("E", (_x, _y)),)), _S_OF_R], ("k",), "S", False),
     # Q unfolds into R's rule, but R's own atoms bind only x
     ([DatalogRule(Atom("R", (_x, _y)), (Atom("E", (_x, _z)), Atom("Q", (_y,)))),
       DatalogRule(Atom("Q", (_x,)), (Atom("F", (_x,)),)), _S_OF_R], (), "S", False),
@@ -411,7 +410,7 @@ def test_forced_empty_copy_fact_dies():
     q = boolean_ucq([Atom("H", (x,))])
     v = Instance(s, frozenset({Fact("V", (a,)), Fact("V", (b,))}))
     assert _largest_model(q, c, s, v).facts == v.facts | {Fact("H", (a,)), Fact("H", (b,))}
-    model = _largest_model(q, c, s, v, forced_empty=(Atom("H", (CName("a"),)),))
+    model = _largest_model(q, c, s, v, forced_empty=(Atom("H", (Const("a"),)),))
     assert model.facts == v.facts | {Fact("H", (b,))}
     assert _largest_model(q, c, s, v, forced_empty=(Atom("H", (x,)),)) is None
 
@@ -504,7 +503,7 @@ def test_false_answer_makes_no_seeded_lookup_after_the_enumeration(monkeypatch):
     assert binds[first:].count(True) == 0
 
 
-_k = CName("k")
+_k = Const("k")
 _u = Var("u")
 
 

@@ -9,7 +9,6 @@ from dqi.core import (
     CQ,
     UCQ,
     Atom,
-    CName,
     Const,
     ConstraintSet,
     EGD,
@@ -164,7 +163,7 @@ def test_oracle_realizable_uses_constants_named_only_by_an_egd():
     x, y = Var("x"), Var("y")
     c = ConstraintSet((
         TGD((Atom("V", (x,)),), (HeadDisjunct((y,), (Atom("H", (y,)),)),)),
-        EGD((Atom("H", (x,)),), x, CName("c")),
+        EGD((Atom("H", (x,)),), x, Const("c")),
     ))
     v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
     r = oracle_realizable(c, s, v, DomainBound(2, 4, 1e5))
@@ -176,7 +175,7 @@ def test_query_oracles_check_the_query_against_the_schema_without_a_model():
     # H is unary, so H(x, x) does not fit; the EGD leaves no completion
     s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False)))
     x = Var("x")
-    c = ConstraintSet((EGD((Atom("V", (x,)),), x, CName("z")),))
+    c = ConstraintSet((EGD((Atom("V", (x,)),), x, Const("z")),))
     v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
     q = boolean_ucq([Atom("H", (x, x))])
     d = DomainBound(1, 4, 1e5)
@@ -237,7 +236,7 @@ def _reference_problem(seed):
     if seed % 3 == 1:
         rel = rng.choice(s.relations)
         args = tuple(Var(f"e{i}") for i in range(rel.arity))
-        right = CName("a") if rng.random() < 0.5 else args[-1]
+        right = Const("a") if rng.random() < 0.5 else args[-1]
         c = ConstraintSet(c.dependencies + (EGD((Atom(rel.name, args),), args[0], right),))
     if seed % 2:
         cq = q.disjuncts[0]
@@ -360,7 +359,7 @@ def _filed(index):
 
 
 _x, _y, _z, _u = Var("x"), Var("y"), Var("z"), Var("u")
-_a = CName("a")
+_a = Const("a")
 
 
 def _V(*args):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dqi.core import (
     Atom,
-    CName,
     CQ,
     Const,
     ConstraintSet,
@@ -47,8 +46,16 @@ def test_parse_query_constants_and_existentials():
     q = pf.queries["Q"]
     (d,) = q.disjuncts
     assert not d.free_vars
-    consts = {t.name for a in d.atoms for t in a.args if isinstance(t, CName)}
+    consts = {t.name for a in d.atoms for t in a.args if isinstance(t, Const)}
     assert consts == {"Smith", "Jones"}
+
+
+def test_parse_reads_a_formula_constant_as_the_value_it_names():
+    pf = parse('dqi-1\nschema { visible R/2; }\nquery Q { exists x. R("Smith", x) }\ninstance V { R(Smith, b). }\n')
+    (atom,) = pf.queries["Q"].disjuncts[0].atoms
+    (fact,) = pf.instances["V"].facts
+    assert atom.args[0] == fact.args[0] == Const("Smith")
+    assert hash(atom.args[0]) == hash(fact.args[0])
 
 
 def test_roundtrip_fixtures():
