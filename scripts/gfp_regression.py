@@ -10,6 +10,7 @@ validates semantically.
 """
 import argparse
 import random
+from typing import Iterable, Tuple
 
 from dqi.core import ClassError, eval_ucq, satisfies
 from dqi.gfp import nqi_gfp_detail
@@ -17,13 +18,11 @@ from dqi.oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi
 from dqi.problemgen import random_id_problem, random_linear_problem
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
-    ap.add_argument("--cases", type=int, default=300, help="number of cases (default 300)")
-    args = ap.parse_args()
+def regression(seeds: Iterable[int]) -> Tuple[int, int]:
+    """Check the fixpoint method on each seed's problem; return the checked
+    and skipped counts, raising AssertionError on a disagreement."""
     checked = skipped = 0
-    for seed in range(args.seed, args.seed + args.cases):
+    for seed in seeds:
         rng = random.Random(seed)
         gen = random_id_problem if seed % 2 else random_linear_problem
         q, c, s, v = gen(rng)
@@ -48,6 +47,15 @@ def main() -> int:
             assert witness.visible().facts == v.facts, f"seed {seed}: witness changes visible part"
             assert eval_ucq(q, witness) is True, f"seed {seed}: witness does not satisfy the query"
         checked += 1
+    return checked, skipped
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
+    ap.add_argument("--cases", type=int, default=300, help="number of cases (default 300)")
+    args = ap.parse_args()
+    checked, skipped = regression(range(args.seed, args.seed + args.cases))
     print(f"gfp-vs-enumerator: checked={checked} skipped={skipped} disagreements=0")
     return 0
 

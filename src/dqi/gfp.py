@@ -11,9 +11,12 @@ polynomial data time.  The pipeline has three stages:
    the equality pattern ``u`` of the remaining positions, in the pattern
    encoding of ``chase`` with the named constants as its constants; terms
    are bound to a pattern's entries by ``core.bind``.
-2. ``build_gfp_program`` compiles the (controllable) problem into a Datalog
-   program whose rules gate every hidden tuple on the active domain and on
-   the heads of the constraints it must satisfy.
+2. ``_shape_rules`` gives each hidden relation one rule per body shape a
+   constraint distinguishes, gated on the heads of the constraints that
+   every tuple of the shape triggers.  ``build_gfp_program`` prints the
+   (controllable) problem as a Datalog program over these rules, with every
+   hidden tuple also gated on the active domain and a goal relation for the
+   query; only ``dqi gfp build`` and ``dqi gfp eval`` use it.
 3. ``eval_gfp`` starts from the program's maximal database, then deletes
    facts until every survivor is derived by a rule instance whose body
    survives: the greatest fixpoint of the immediate consequence operator.
@@ -27,7 +30,8 @@ polynomial data time.  The pipeline has three stages:
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
-constants.  Then it runs stage 2 and prunes the program's maximal database
+constants.  Then it builds no program: it prunes the maximal database of
+the shape rules over the active domain and the constants (``_largest_model``)
 to the largest sub-instance that genuinely satisfies the constraints, which
 makes the final answer independent of how tightly the rule bodies
 approximate the constraints.  That pruning runs in two phases.  Phase 1
@@ -187,38 +191,6 @@ def _require_plain_linear(c: ConstraintSet, allow_disjunctive: bool = False) -> 
         raise ClassError("constraints must be linear TGDs (single body atom)")
 
 
-def _unify_dropped(
-    terms: Sequence[Term],
-    pattern: Pattern,
-    selected_vars: Set[Var],
-) -> Optional[Dict[Var, Term]]:
-    """Match the dropped body positions of an atom against a copy pattern.
-
-    Returns a substitution for the atom's variables, or None when no sound
-    translation exists.  A variable on a constant entry becomes that
-    constant; variables sharing a pattern group all become the first of
-    them.
-    Soundness requirement: every fact admitted by the pattern and matching
-    the selected positions must satisfy the original atom, so each term's
-    dropped occurrences must pin down a single entry, constants must appear
-    literally, and a variable cannot live on both sides of the split.
-    """
-    entry_of = bind(terms, pattern, {})
-    if entry_of is None:
-        return None
-    subst: Dict[Var, Term] = {}
-    rep_for_entry: Dict[int, Var] = {}
-    for t, e in entry_of.items():
-        if isinstance(e, Const):
-            subst[t] = e
-        else:
-            if t in selected_vars:
-                return None
-            rep = rep_for_entry.setdefault(e, t)
-            subst[t] = rep
-    return subst
-
-
 def _apply_subst(atom: Atom, subst: Mapping[Var, Term]) -> Atom:
     return Atom(
         atom.relation,
@@ -319,27 +291,36 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
                     out.append(disjunct)
         return out
 
+    def copy_atoms(atom: Atom) -> Iterator[Tuple[Atom, Dict[Var, object]]]:
+        """The copy atom over the selected positions of each copy whose
+        pattern the dropped terms of `atom` match, with the pattern entry of
+        each dropped variable; a visible atom is its own only copy."""
+        if s.decl(atom.relation).visible:
+            yield atom, {}
+            return
+        for cp in copies_of[atom.relation]:
+            entry_of = bind([atom.args[i] for i in cp.dropped], cp.pattern, {})
+            if entry_of is not None:
+                yield Atom(cp.name, tuple(atom.args[i] for i in cp.selected)), entry_of
+
     for tgd in c.tgds:
-        body = tgd.body[0]
         head = tgd.heads[0]
-        head_atom = head.atoms[0]
-        body_decl = s.decl(body.relation)
-        body_copies: List[Tuple[Atom, Dict[Var, Term]]] = []
-        if body_decl.visible:
-            body_copies.append((body, {}))
-        else:
-            for cp in copies_of[body.relation]:
-                sel_terms = tuple(body.args[i] for i in cp.selected)
-                selected_vars = {t for t in sel_terms if isinstance(t, Var)}
-                dropped_terms = tuple(body.args[i] for i in cp.dropped)
-                subst = _unify_dropped(dropped_terms, cp.pattern, selected_vars)
-                if subst is None:
-                    continue
-                body_copies.append((_apply_subst(Atom(cp.name, sel_terms), subst), subst))
-        for new_body, subst in body_copies:
+        for copy_atom, entry_of in copy_atoms(tgd.body[0]):
+            # every fact the copy admits must satisfy the body atom: a
+            # variable on a constant entry becomes that constant, also where
+            # it is selected; the variables of a group become the first of
+            # them, and none of them may be selected
+            if any(not isinstance(e, Const) and t in copy_atom.args for t, e in entry_of.items()):
+                continue
+            rep: Dict[object, Var] = {}
+            subst: Dict[Var, Term] = {
+                t: e if isinstance(e, Const) else rep.setdefault(e, t)
+                for t, e in entry_of.items()
+            }
+            new_body = _apply_subst(copy_atom, subst)
             selected_vars = {t for t in new_body.args if isinstance(t, Var)}
             disjuncts = head_translation(
-                head_atom, tuple(head.exist_vars), subst, selected_vars
+                head.atoms[0], tuple(head.exist_vars), subst, selected_vars
             )
             if disjuncts is None:
                 forced_empty.append(new_body)
@@ -353,21 +334,13 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     for d in q.disjuncts:
         choices_per_atom: List[List[Tuple[Atom, Dict[Var, object]]]] = []
         for a in d.atoms:
-            decl = s.decl(a.relation)
             opts: List[Tuple[Atom, Dict[Var, object]]] = []
-            if decl.visible:
-                opts.append((a, {t: "sel" for t in a.args if isinstance(t, Var)}))
-            else:
-                for cp in copies_of[a.relation]:
-                    sel_terms = tuple(a.args[i] for i in cp.selected)
-                    entry_of = bind([a.args[i] for i in cp.dropped], cp.pattern, {})
-                    if entry_of is None:
-                        continue
-                    marks: Dict[Var, object] = {t: "sel" for t in sel_terms if isinstance(t, Var)}
-                    if any(t in marks for t in entry_of):
-                        continue  # split within one atom
-                    marks.update((t, e if isinstance(e, Const) else "pat") for t, e in entry_of.items())
-                    opts.append((Atom(cp.name, sel_terms), marks))
+            for copy_atom, entry_of in copy_atoms(a):
+                marks: Dict[Var, object] = {t: "sel" for t in copy_atom.args if isinstance(t, Var)}
+                if any(t in marks for t in entry_of):
+                    continue  # split within one atom
+                marks.update((t, e if isinstance(e, Const) else "pat") for t, e in entry_of.items())
+                opts.append((copy_atom, marks))
             choices_per_atom.append(opts)
         for combo in itertools.product(*choices_per_atom):
             # a variable shared between atoms must be consistently either
@@ -436,10 +409,6 @@ class GFPProgram:
                 if arity[a.relation] != len(a.args):
                     raise SchemaError(f"arity mismatch for {a.relation}")
 
-    @property
-    def arity(self) -> Dict[str, int]:
-        return dict(self.arities)
-
 
 def program_text(p: GFPProgram) -> str:
     """Readable Datalog form: header lines, then one rule per line."""
@@ -458,9 +427,48 @@ def program_text(p: GFPProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_gfp_program(
-    q: UCQ, c: ConstraintSet, s: Schema, extra_constants: Sequence[str] = ()
-) -> GFPProgram:
+def _shape_rules(c: ConstraintSet, s: Schema) -> List[Tuple[Atom, Tuple[Atom, ...]]]:
+    """The rules of the hidden relations, as (head, atoms) pairs: one rule
+    per body shape a constraint distinguishes, plus the generic shape, whose
+    atoms are the head atoms of every single-disjunct constraint that each
+    tuple of the shape triggers.  The TGD heads must be single atoms."""
+    tgds_by_rel: Dict[str, List[TGD]] = {}
+    for t in c.tgds:
+        tgds_by_rel.setdefault(t.body[0].relation, []).append(t)
+    exist_counter = itertools.count(1)
+    rules: List[Tuple[Atom, Tuple[Atom, ...]]] = []
+    for rel in s.hidden_relations:
+        shapes: List[Pattern] = [tuple(range(1, rel.arity + 1))]  # generic shape
+        for t in tgds_by_rel.get(rel.name, ()):
+            pat = canon_pattern(t.body[0].args)
+            if pat not in shapes:
+                shapes.append(pat)
+        for shape in shapes:
+            head = Atom(rel.name, tuple(e if isinstance(e, Const) else Var(f"w{e - 1}") for e in shape))
+            atoms: List[Atom] = []
+            for t in tgds_by_rel.get(rel.name, ()):
+                # does every tuple of this shape trigger the constraint?
+                m = bind(t.body[0].args, head.args, {})
+                if m is None:
+                    continue
+                if len(t.heads) > 1:
+                    # a disjunctive obligation cannot become a conjunct; the
+                    # largest-model pass enforces it instead
+                    continue
+                disjunct = t.heads[0]
+                ren = {
+                    y: Var(f"e{next(exist_counter)}_{y.name}")
+                    for y in disjunct.exist_vars
+                }
+                # rename the existentials apart before pinning the body
+                # variables, so a head variable can never capture a shape one
+                for ha in disjunct.atoms:
+                    atoms.append(_apply_subst(_apply_subst(ha, ren), m))
+            rules.append((head, tuple(atoms)))
+    return rules
+
+
+def build_gfp_program(q: UCQ, c: ConstraintSet, s: Schema) -> GFPProgram:
     """Compile an NQI problem over linear TGDs into a GFP-Datalog program.
 
     Extensional relations are the visible ones.  A unary relation collects
@@ -475,7 +483,7 @@ def build_gfp_program(
     taken = set(s.by_name)
     a_name = fresh_name("A", taken)
     goal_name = fresh_name("Goal", taken)
-    constants = sorted(set(constant_names(c, q)) | set(extra_constants))
+    constants = constant_names(c, q)
 
     rules: List[DatalogRule] = []
     # the active-domain relation: every position of every visible fact,
@@ -486,45 +494,10 @@ def build_gfp_program(
             rules.append(DatalogRule(Atom(a_name, (args[i],)), (Atom(rel.name, args),)))
     for name in constants:
         rules.append(DatalogRule(Atom(a_name, (Const(name),)), ()))
-
-    # hidden relations: one rule per body shape a constraint distinguishes
-    tgds_by_rel: Dict[str, List[TGD]] = {}
-    for t in c.tgds:
-        tgds_by_rel.setdefault(t.body[0].relation, []).append(t)
-    exist_counter = itertools.count(1)
-    for rel in s.hidden_relations:
-        shapes: List[Pattern] = [tuple(range(1, rel.arity + 1))]  # generic shape
-        for t in tgds_by_rel.get(rel.name, ()):
-            pat = canon_pattern(t.body[0].args)
-            if pat not in shapes:
-                shapes.append(pat)
-        for shape in shapes:
-            arg_of: Dict[object, Term] = {
-                e: e if isinstance(e, Const) else Var(f"w{e - 1}") for e in shape
-            }
-            head = Atom(rel.name, tuple(arg_of[e] for e in shape))
-            body = [Atom(a_name, (t,)) for t in arg_of.values()]
-            for t in tgds_by_rel.get(rel.name, ()):
-                # does every tuple of this shape trigger the constraint?
-                bound = bind(t.body[0].args, shape, {})
-                if bound is None:
-                    continue
-                m = {v: arg_of[e] for v, e in bound.items()}
-                if len(t.heads) > 1:
-                    # a disjunctive obligation cannot become a conjunct; the
-                    # largest-model pass enforces it instead
-                    continue
-                disjunct = t.heads[0]
-                ren = {
-                    y: Var(f"e{next(exist_counter)}_{y.name}")
-                    for y in disjunct.exist_vars
-                }
-                # rename the existentials apart before pinning the body
-                # variables, so a head variable can never capture a shape one
-                for ha in disjunct.atoms:
-                    body.append(_apply_subst(_apply_subst(ha, ren), m))
-            rules.append(DatalogRule(head, tuple(body)))
-
+    # hidden relations: each shape rule, with every distinct head term on A
+    for head, atoms in _shape_rules(c, s):
+        gate = tuple(Atom(a_name, (t,)) for t in dict.fromkeys(head.args))
+        rules.append(DatalogRule(head, gate + atoms))
     for d in q.disjuncts:
         rules.append(DatalogRule(Atom(goal_name, ()), tuple(d.atoms)))
 
@@ -547,75 +520,73 @@ def build_gfp_program(
 
 
 class _MaximalDatabase:
-    """The program's maximal intensional database, enumerated whole or only
-    where a partially bound atom can match.
+    """The maximal intensional database of (head, body) rules, enumerated
+    whole or only where a partially bound atom can match.
 
-    Its facts are those a rule derives from the extensional facts when each
-    intensional body atom holds on every tuple over the domain (the active
-    domain plus the program constants), with one exception below.  So only
-    the extensional atoms constrain the match and unpinned head variables
-    range over the whole domain, which avoids ever materialising the
-    |domain|^arity cross products.
+    The intensional relations are the rule heads' relations, the others
+    extensional.  The facts are those a rule derives from the extensional
+    facts when each intensional body atom holds on every tuple over the
+    domain (the active domain plus the given constants), with one exception
+    below.  So only the extensional atoms constrain the match and unpinned
+    head variables range over the whole domain, which avoids ever
+    materialising the |domain|^arity cross products.  A rule whose
+    intensional atoms hold on no domain tuple (they name a constant outside
+    the domain, or the domain is empty) still derives facts here; no rule
+    instance derives them, so pruning deletes them.
 
     The exception is one more step of the immediate consequence operator,
-    compiled into the rules.  An intensional relation whose single feasible
-    rule has a head of distinct variables, all bound by the rule's
-    extensional atoms, holds after the first step exactly where those atoms
-    match.  Every other rule with a body atom over it gains those atoms, so
-    the atom no longer holds on every domain tuple.  This unfolds one level,
-    from the original atoms only, so a cycle never iterates.  Every fact of
-    the greatest fixpoint, and of the largest model of the constraints, is
-    derived by a rule whose intensional atoms match their facts, which lie
-    in the first step; so the database still holds them all, and pruning it
-    leaves the same facts alive as pruning the first step would.
+    compiled into the rules.  An intensional relation whose single rule has
+    a head of distinct variables, all bound by the rule's extensional atoms,
+    holds after the first step exactly where those atoms match.  Every other
+    rule with a body atom over it gains those atoms, so the atom no longer
+    holds on every domain tuple.  This unfolds one level, from the original
+    atoms only, so a cycle never iterates.  Every fact of the greatest
+    fixpoint, and of the largest model of the constraints, is derived by a
+    rule whose intensional atoms match their facts, which lie in the first
+    step; so the database still holds them all, and pruning it leaves the
+    same facts alive as pruning the first step would.
     """
 
-    def __init__(self, p: GFPProgram, ext: Instance) -> None:
-        for f in ext.facts:
-            if f.relation not in p.extensional:
-                raise SchemaError(f"{f.relation} is not extensional")
+    def __init__(self, rules: Sequence[Tuple[Atom, Sequence[Atom]]],
+                 constants: Iterable[str], ext: Instance) -> None:
+        intensional = {head.relation for head, _ in rules}
         self.ext = ext
         self.domain = sorted(
-            set(active_domain(ext)) | {Const(n) for n in p.constants}, key=value_key
+            set(active_domain(ext)) | {Const(n) for n in constants}, key=value_key
         )
         self.domain_set = set(self.domain)
-        # the feasible rules with their extensional atoms
-        feasible: List[Tuple[DatalogRule, Tuple[Atom, ...]]] = []
-        for r in p.rules:
-            int_terms = [t for a in r.body if a.relation in p.intensional for t in a.args]
-            if any(t not in self.domain_set if isinstance(t, Const) else not self.domain
-                   for t in int_terms):
-                continue
-            feasible.append((r, tuple(a for a in r.body if a.relation not in p.intensional)))
+        # the rules with their extensional atoms
+        split = [(head, body, tuple(a for a in body if a.relation not in intensional))
+                 for head, body in rules]
         # the relations that unfold, with the head and extensional atoms of
         # their rule; a constant head term is never a bound variable
-        rule_count = Counter(r.head.relation for r, _ in feasible)
+        rule_count = Counter(head.relation for head, _ in rules)
         unfold = {
-            r.head.relation: (r.head, ext_atoms)
-            for r, ext_atoms in feasible
-            if rule_count[r.head.relation] == 1
-            and len(set(r.head.args)) == len(r.head.args)
-            and set(r.head.args) <= {x for a in ext_atoms for x in a.variables}
+            head.relation: (head, ext_atoms)
+            for head, _, ext_atoms in split
+            if rule_count[head.relation] == 1
+            and len(set(head.args)) == len(head.args)
+            and set(head.args) <= {x for a in ext_atoms for x in a.variables}
         }
         # the rules with their extensional atoms, by head relation; a head
         # constant outside the domain makes a rule derive nothing
         self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
-        for r, ext_atoms in feasible:
-            if any(isinstance(t, Const) and t not in self.domain_set for t in r.head.args):
+        for head, body, ext_atoms in split:
+            if any(isinstance(t, Const) and t not in self.domain_set for t in head.args):
                 continue
             gained: List[Atom] = []
-            for n, a in enumerate(r.body):
-                if a.relation not in unfold or a.relation == r.head.relation:
+            for n, a in enumerate(body):
+                if a.relation not in unfold or a.relation == head.relation:
                     continue
-                head, atoms = unfold[a.relation]
+                unfolded, atoms = unfold[a.relation]
                 # head variables become the atom's terms; the others are
                 # renamed apart with a dot, which no parsed name contains
-                ren: Dict[Var, Term] = dict(zip(head.args, a.args))  # type: ignore[arg-type]
+                ren: Dict[Var, Term] = dict(zip(unfolded.args, a.args))  # type: ignore[arg-type]
                 for b in atoms:
                     for x in b.variables:
                         ren.setdefault(x, Var(f"{n}.{x.name}"))
                 gained.extend(_apply_subst(b, ren) for b in atoms)
-            self.rules.setdefault(r.head.relation, []).append((r.head, ext_atoms + tuple(gained)))
+            self.rules.setdefault(head.relation, []).append((head, ext_atoms + tuple(gained)))
 
     def facts(self, atom: Optional[Atom] = None,
               seed: Mapping[Var, Value] = {}) -> Set[Fact]:
@@ -705,7 +676,10 @@ def eval_gfp(p: GFPProgram, ext: Instance) -> Tuple[bool, Instance]:
     """The greatest fixpoint of the immediate consequence operator below the
     maximal intensional database: an intensional fact survives while some
     rule instance deriving it has a live body."""
-    candidates = _MaximalDatabase(p, ext).facts()
+    for f in ext.facts:
+        if f.relation not in p.extensional:
+            raise SchemaError(f"{f.relation} is not extensional")
+    candidates = _MaximalDatabase([(r.head, r.body) for r in p.rules], p.constants, ext).facts()
     decls = [RelationDecl(n, a, visible=(n in p.extensional)) for n, a in p.arities]
     schema = Schema(tuple(decls))
     top = Instance(schema, ext.facts | candidates)
@@ -732,10 +706,12 @@ def _largest_model(
     forced_empty: Sequence[Atom] = (),
     extra_constants: Sequence[str] = (),
 ) -> Optional[Instance]:
-    """The largest sub-instance of the program's maximal database with
-    visible part `v` that satisfies every constraint, or None when there is
-    none or it falsifies the query.  The TGD bodies and head disjuncts must
-    be single atoms; a head disjunct may also be empty.
+    """The largest sub-instance of the maximal database of the constraints'
+    shape rules (`_shape_rules`) over the active domain of `v`, the
+    constants of `c` and `q` and `extra_constants`, with visible part `v`,
+    that satisfies every constraint, or None when there is none or it
+    falsifies the query.  The TGD bodies and head disjuncts must be single
+    atoms; a head disjunct may also be empty.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
     facts matching the head of each disjunct are its supports: from `v` for
@@ -752,9 +728,11 @@ def _largest_model(
     the facts that phase 1 did not explore, giving the whole largest model
     as the witness.
     """
-    program = build_gfp_program(q, c, s, extra_constants=extra_constants)
-    maxdb = _MaximalDatabase(program, v)
     hidden = {r.name for r in s.hidden_relations}
+    for f in v.facts:
+        if f.relation in hidden:
+            raise SchemaError(f"{f.relation} is not extensional")
+    maxdb = _MaximalDatabase(_shape_rules(c, s), {*constant_names(c, q), *extra_constants}, v)
     # body atom and head disjuncts of each trigger, by body relation; a fact
     # of a forced-empty copy owes an obligation that nothing supports
     triggers: Dict[str, List[Tuple[Atom, Tuple[HeadDisjunct, ...]]]] = {}
@@ -848,25 +826,19 @@ def nqi_gfp_detail(
         raise ClassError("NQI expects a Boolean query")
     # one spare value keeps the collapse argument sound on an empty domain
     extra: Tuple[str, ...] = constant_names(c, q)
-    if not extra and not active_domain(v):
+    if not extra and not any(f.args for f in v.facts):
         extra = ("!d0",)
     # multi-atom heads normalise away, so judge the fragment afterwards:
     # a head like R(x,y) ∧ S(y,z) is an inclusion-dependency set once split
     c0, s0 = normalize_single_head(c, s)
     if ID_TAG in c0.tags and CONST_TAG not in c0.tags:
-        method, back = "greatest fixpoint", lambda model: model
-        model = _largest_model(q, c0, s0, Instance(s0, v.facts), extra_constants=extra)
+        method, back, forced_empty = "greatest fixpoint", (lambda model: model), ()
     else:
         tr = transform_adom(q, c0, s0)
         method, back = "selected-attribute transform + greatest fixpoint", tr.reconstruct
-        model = _largest_model(
-            tr.query,
-            tr.constraints,
-            tr.schema,
-            Instance(tr.schema, v.facts),
-            forced_empty=tr.forced_empty,
-            extra_constants=extra,
-        )
+        q, c0, s0, forced_empty = tr.query, tr.constraints, tr.schema, tr.forced_empty
+    v0 = v if v.schema == s0 else Instance(s0, v.facts)
+    model = _largest_model(q, c0, s0, v0, forced_empty=forced_empty, extra_constants=extra)
     if model is None:
         return True, None, method
     keep = set(s.by_name)

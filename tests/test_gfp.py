@@ -324,7 +324,8 @@ def test_reachability_maximal_database_projects_t_from_p():
     nodes = ["n0", "n1", "n2", "n3"]
     edges = [("n0", "n1"), ("n1", "n2"), ("n3", "n2")]
     q, c, s, v = reachability_problem(nodes, edges, "n0", "n2")
-    facts = _MaximalDatabase(build_gfp_program(q, c, s), v).facts()
+    p = build_gfp_program(q, c, s)
+    facts = _MaximalDatabase([(r.head, r.body) for r in p.rules], p.constants, v).facts()
     projected = {Fact("T", (f.args[0], f.args[3], f.args[4]))
                  for f in v.facts if f.relation == "P"}
     assert {f for f in facts if f.relation == "T"} == projected
@@ -381,7 +382,8 @@ def test_maximal_database_unfolds_only_single_rule_relations(rules, constants, r
     ext = Instance(ext_schema, frozenset(
         {Fact("E", (a, b)), Fact("E", (b, c))} | ({Fact("F", (a,))} if "F" in arity else set())
     ))
-    got = {f for f in _MaximalDatabase(p, ext).facts() if f.relation == relation}
+    got = {f for f in _MaximalDatabase([(r.head, r.body) for r in p.rules], p.constants, ext).facts()
+           if f.relation == relation}
     one_step = {f for f in _one_step(p, ext) if f.relation == relation}
     if unfolded:
         assert got == {Fact("S", f.args) for f in ext.facts_of("E")} < one_step
@@ -418,8 +420,8 @@ def test_forced_empty_copy_fact_dies():
 def _reference_largest_model(q, c, s, v, forced_empty=(), extra_constants=()):
     """The largest-model pass without the program: every domain tuple of
     every hidden relation, every trigger, one pruning, then the checks."""
-    program = build_gfp_program(q, c, s, extra_constants=extra_constants)
-    domain = set(active_domain(v)) | {Const(n) for n in program.constants}
+    program = build_gfp_program(q, c, s)
+    domain = set(active_domain(v)) | {Const(n) for n in (*program.constants, *extra_constants)}
     hidden = {
         Fact(r.name, args)
         for r in s.hidden_relations
@@ -543,3 +545,36 @@ def test_support_lookup_agrees_with_match_fact(body, heads):
         assert sorted(got, key=key) == sorted(want, key=key)
         found += len(got)
     assert found > 0 or not heads
+
+
+def test_nqi_decision_path_builds_no_datalog_program(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decision path built a Datalog program")
+
+    monkeypatch.setattr(gfp, "GFPProgram", refuse)
+    monkeypatch.setattr(gfp, "DatalogRule", refuse)
+    q, c, s, v = reachability_problem(["n0", "n1", "n2"], [("n0", "n2")], "n0", "n2")
+    assert nqi_gfp_detail(q, c, s, v)[0::2] == (False, "greatest fixpoint")
+    # a constraint constant takes the selected-attribute transform
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 2, False)))
+    c = ConstraintSet((TGD((Atom("H", (_x, _k)),), (HeadDisjunct((), (Atom("V", (_x,)),)),)),))
+    v = Instance(s, frozenset({Fact("V", (Const("a"),))}))
+    answer, _, method = nqi_gfp_detail(boolean_ucq([Atom("H", (_x, _y))]), c, s, v)
+    assert (answer, method) == (False, "selected-attribute transform + greatest fixpoint")
+
+
+def test_transform_keeps_a_selected_body_variable_on_a_constant_entry():
+    # H(x,x) -> V(x) with the query H("k","k"): the copy that keeps the first
+    # position and drops a "k" admits only H(k,k), so its body copy is
+    # H_c1(k) -> V(k); without it H(k,k) is a witness that lacks V(k)
+    s = Schema((RelationDecl("H", 2, False), RelationDecl("V", 1, True),
+                RelationDecl("W", 1, True)))
+    c = ConstraintSet((TGD((Atom("H", (_x, _x)),), (HeadDisjunct((), (Atom("V", (_x,)),)),)),))
+    q = boolean_ucq([Atom("H", (_k, _k))])
+    v = Instance(s, frozenset({Fact("W", (Const("a"),))}))
+    assert nqi_gfp_detail(q, c, s, v)[:2] == (True, None)
+    tr = transform_adom(q, c, s)
+    copy = next(cp for cp in tr.copies if cp.selected == (0,) and cp.pattern == (_k,))
+    assert TGD((Atom(copy.name, (_k,)),), (HeadDisjunct((), (Atom("V", (_k,)),)),)) \
+        in tr.constraints.dependencies
+    assert copy.name == "H_c1"
