@@ -23,12 +23,12 @@ The classical and critical chases run the same single-branch loop,
 `_chase_branch`; the visible chase builds its tree in its own loop.
 
 Both loops are semi-naive.  After the root, each instance is compared with
-the one its triggers were last discovered over, and only the delta (the
-facts that instance lacked, `_delta`) is matched: discovery queues the
-body matches that use a delta fact (`_Triggers`), in the order a full
-rematch would queue them, and the Boolean query that stops a branch
-(`tripwire`, `prune`) is searched only among the matches that use one
-(`_query_holds`), since it failed on the earlier instance.  TGD steps,
+the one before it (a node's parent in the tree), and only the delta (the
+facts that one lacked, `_delta`) is matched: `_discover` queues the body
+matches that use a delta fact on the branch's FIFO of pending triggers, in
+the order a full rematch would queue them, and the Boolean query that stops
+a branch (`tripwire`, `prune`) is searched only among the matches that use
+one (`_query_holds`), since it failed on the earlier instance.  TGD steps,
 groundings and EGD merges all go through the same delta.
 
 Each child instance is derived from its parent by `Instance.derive`: a TGD
@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
+from typing import (Callable, Deque, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .core import (
@@ -184,22 +184,22 @@ def _delta(last: Optional[Instance], instance: Instance) -> Optional[List[Fact]]
 
 def _new_matches(body: Sequence[Atom], instance: Instance,
                  delta: Optional[Sequence[Fact]]) -> Iterable[Homomorphism]:
-    """Every body match of `instance` that may use a fact of `delta`, in
+    """Every body match of `instance` that uses a fact of `delta`, in
     `find_homomorphisms` order (all of them without a delta).
 
     A one-atom body matches the delta's facts of its relation, which
     `find_homomorphisms` would yield in this `fact_key` order too; a longer
-    body is matched in full, and only when the delta has one of its
-    relations."""
+    body is matched in full when the delta has one of its relations."""
     if delta is None:
         return find_homomorphisms(body, instance)
     if len(body) == 1:
         matches = (match_fact(body[0], f, {}) for f in delta)
         return (m for m in matches if m is not None)
     relations = {a.relation for a in body}
-    if any(f.relation in relations for f in delta):
-        return find_homomorphisms(body, instance)
-    return ()
+    if not any(f.relation in relations for f in delta):
+        return ()
+    delta_set = set(delta)
+    return (h for h in find_homomorphisms(body, instance) if not delta_set.isdisjoint(apply_hom(body, h)))
 
 
 def _query_holds(q: UCQ, instance: Instance, delta: Optional[Sequence[Fact]]) -> bool:
@@ -223,59 +223,41 @@ def _query_holds(q: UCQ, instance: Instance, delta: Optional[Sequence[Fact]]) ->
     return False
 
 
-class _Triggers:
-    """FIFO queue of (dependency, body homomorphism) pairs for one branch.
+# A branch's pending triggers: a FIFO of (dependency number, body match).
+Pending = Deque[Tuple[int, Homomorphism]]
 
-    Discovery is semi-naive.  `last` is the instance the queue last
-    discovered over, and `seen` holds every body match of it, renamed by
-    `remap` through later merges and groundings.  A renamed value occurs
-    in no fact of the next instance, so a match there that avoids the
-    delta (the facts `last` lacks) was a match of `last`, and its key is in
-    `seen`: discovery matches only what may use the delta.
-    """
 
-    def __init__(self, pending: Optional[List[Tuple[int, Homomorphism]]] = None,
-                 seen: Optional[Set[Tuple]] = None, last: Optional[Instance] = None):
-        self.pending: deque = deque(pending or [])
-        self.seen: Set[Tuple] = set(seen or ())
-        self.last = last
+def _discover(pending: Pending, deps: Sequence[Dependency], instance: Instance,
+              delta: Optional[Sequence[Fact]]) -> None:
+    """Queue the body matches of `instance` that use a `delta` fact.
 
-    def discover(self, deps: Sequence[Dependency], instance: Instance,
-                 delta: Optional[Sequence[Fact]]) -> None:
-        """Queue the new triggers of `instance`; `delta` is
-        `_delta(self.last, instance)`."""
-        for idx, dep in enumerate(deps):
-            for hom in _new_matches(dep.body, instance, delta):
-                key = (idx, frozenset(hom.items()))
-                if key not in self.seen:
-                    self.seen.add(key)
-                    self.pending.append((idx, hom))
-        self.last = instance
+    A match that avoids the delta was a match of the previous instance, so
+    it is queued already (renamed by `_remapped`) or was popped.  A match of
+    a renamed fact may be queued twice; the later copy is inactive when
+    popped, as the first fired or was inactive and renaming keeps heads."""
+    for idx, dep in enumerate(deps):
+        for hom in _new_matches(dep.body, instance, delta):
+            pending.append((idx, hom))
 
-    def fire_next(self, deps: Sequence[Dependency], instance: Instance,
-                  nulls: NullSource) -> Optional[List[Outcome]]:
-        """Pop triggers until one is active and fire it; None once the
-        queue runs dry.  An inactive trigger leaves the instance as it was,
-        so there is nothing new to discover in between."""
-        while self.pending:
-            idx, hom = self.pending.popleft()
-            outcomes = _fire(idx, deps[idx], hom, instance, nulls)
-            if outcomes is not None:
-                return outcomes
-        return None
 
-    def copy(self) -> "_Triggers":
-        return _Triggers(list(self.pending), set(self.seen), self.last)
+def _fire_next(pending: Pending, deps: Sequence[Dependency], instance: Instance,
+               nulls: NullSource) -> Optional[List[Outcome]]:
+    """Pop triggers until one is active and fire it; None once the queue
+    runs dry.  An inactive trigger leaves the instance as it was, so there
+    is nothing new to discover in between."""
+    while pending:
+        idx, hom = pending.popleft()
+        outcomes = _fire(idx, deps[idx], hom, instance, nulls)
+        if outcomes is not None:
+            return outcomes
+    return None
 
-    def remap(self, value_map: Mapping[Value, Value]) -> "_Triggers":
-        pending = []
-        seen = set()
-        for idx, hom in self.pending:
-            hom2 = {v: value_map.get(val, val) for v, val in hom.items()}
-            pending.append((idx, hom2))
-        for idx, items in self.seen:
-            seen.add((idx, frozenset((v, value_map.get(val, val)) for v, val in items)))
-        return _Triggers(pending, seen, self.last)
+
+def _remapped(pending: Pending, value_map: Mapping[Value, Value]) -> Pending:
+    """A copy of the queue with its matches renamed by `value_map`."""
+    if not value_map:
+        return deque(pending)
+    return deque((idx, {v: value_map.get(val, val) for v, val in hom.items()}) for idx, hom in pending)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +282,16 @@ def _chase_branch(
     deps = c.dependencies
     nulls = NullSource.above(start)
     current = start
-    triggers = _Triggers()
+    previous: Optional[Instance] = None
+    pending: Pending = deque()
     steps = 0
     while True:
-        delta = _delta(triggers.last, current)
+        delta = _delta(previous, current)
         if tripwire is not None and _query_holds(tripwire, current, delta):
             return ChaseResult(SATURATED if satisfies(c, current) else BUDGET, current)
-        triggers.discover(deps, current, delta)
-        outcomes = triggers.fire_next(deps, current, nulls)
+        _discover(pending, deps, current, delta)
+        previous = current
+        outcomes = _fire_next(pending, deps, current, nulls)
         if outcomes is None:
             return ChaseResult(SATURATED, current)
         [(_, image, new_facts, value_map)] = outcomes
@@ -319,7 +303,7 @@ def _chase_branch(
             current = map_instance(current, grounding)
             value_map = grounding
         if value_map:
-            triggers = triggers.remap(value_map)
+            pending = _remapped(pending, value_map)
         steps += 1
         if steps > b.max_depth or len(current.facts) > b.max_facts:
             return ChaseResult(BUDGET, current)
@@ -377,7 +361,7 @@ class ChaseNode:
     parent: Optional[int]
     depth: int
     applied_step: str = ""
-    _triggers: Optional[_Triggers] = None
+    _pending: Optional[Pending] = None  # an open node's trigger queue
 
 
 @dataclass
@@ -464,15 +448,15 @@ def visible_chase(
     """
     visible_part = f0.visible()
     nulls = NullSource.above(f0)
-    root = ChaseNode(0, f0 if f0.schema == s else Instance(s, f0.facts), OPEN, None, 0, "", _Triggers())
+    root = ChaseNode(0, f0 if f0.schema == s else Instance(s, f0.facts), OPEN, None, 0, "", deque())
     nodes = {0: root}
     frontier: deque = deque([0])
     next_id = itertools.count(1)
     deps = list(c.dependencies)
 
     def new_node(instance: Instance, status: str, parent: ChaseNode, step: str,
-                 triggers: Optional[_Triggers]) -> ChaseNode:
-        n = ChaseNode(next(next_id), instance, status, parent.id, parent.depth + 1, step, triggers)
+                 pending: Optional[Pending]) -> ChaseNode:
+        n = ChaseNode(next(next_id), instance, status, parent.id, parent.depth + 1, step, pending)
         nodes[n.id] = n
         return n
 
@@ -484,17 +468,16 @@ def visible_chase(
         node = nodes[frontier.popleft()]
         if node.status != OPEN:
             continue
-        triggers = node._triggers or _Triggers()
-        node._triggers = None
-        delta = _delta(triggers.last, node.instance)
+        pending, node._pending = node._pending, None
+        delta = _delta(None if node.parent is None else nodes[node.parent].instance, node.instance)
         if prune is not None and _query_holds(prune, node.instance, delta):
             node.status = PRUNED
             continue
         if node.depth >= b.max_depth or len(node.instance.facts) > b.max_facts:
             node.status = BUDGET_CUT
             continue
-        triggers.discover(deps, node.instance, delta)
-        outcomes = triggers.fire_next(deps, node.instance, nulls)
+        _discover(pending, deps, node.instance, delta)
+        outcomes = _fire_next(pending, deps, node.instance, nulls)
         node.status = LEAF if outcomes is None else EXPANDED
         for step, image, new_facts, merge in outcomes or ():
             if image is None:
@@ -510,7 +493,7 @@ def visible_chase(
                 new_node(image, DUMMY, node, step + failure, None)
             for child_instance, desc, g in children:
                 child = new_node(child_instance, OPEN, node, step + (f" [{desc}]" if desc else ""),
-                                 triggers.remap(g) if g else triggers.copy())
+                                 _remapped(pending, g))
                 frontier.append(child.id)
     return ChaseTree(nodes)
 
@@ -583,7 +566,11 @@ class TypeEdge:
     correspondence: Tuple[Tuple[int, int], ...]
 
 
-def _linear_tgds(c: ConstraintSet) -> List[Tuple[int, TGD]]:
+# The TGDs of a linear set with their numbers, grouped by body relation.
+LinearIndex = Dict[str, List[Tuple[int, TGD]]]
+
+
+def _linear_tgds(c: ConstraintSet) -> LinearIndex:
     tags = c.tags
     if EGD_TAG in tags:
         raise ClassError("fact types require TGD-only constraint sets")
@@ -591,7 +578,10 @@ def _linear_tgds(c: ConstraintSet) -> List[Tuple[int, TGD]]:
         raise ClassError("fact types require linear single-head TGDs")
     if CONST_TAG in tags:
         raise ClassError("fact types require constant-free constraints")
-    return list(enumerate(c.tgds))
+    by_body: LinearIndex = {}
+    for idx, dep in enumerate(c.tgds):
+        by_body.setdefault(dep.body[0].relation, []).append((idx, dep))
+    return by_body
 
 
 def _bind(atom: Atom, t: FactType) -> Optional[Dict[Var, int]]:
@@ -619,7 +609,7 @@ def _apply_linear(dep: TGD, t: FactType) -> Optional[Tuple[FactType, Tuple[Tuple
     return FactType(head.relation, canon), corr
 
 
-def _reach(linear: Sequence[Tuple[int, TGD]], roots: Iterable[FactType],
+def _reach(linear: LinearIndex, roots: Iterable[FactType],
            norm: Callable[[FactType], FactType]) -> Tuple[Set[FactType], Dict[FactType, List[TypeEdge]]]:
     """Breadth-first closure of `roots` under linear-TGD application, with
     every produced type passed through `norm`; returns the reached types and
@@ -637,7 +627,7 @@ def _reach(linear: Sequence[Tuple[int, TGD]], roots: Iterable[FactType],
         visit(norm(r))
     while queue:
         t = queue.popleft()
-        for idx, dep in linear:
+        for idx, dep in linear.get(t.relation, ()):
             res = _apply_linear(dep, t)
             if res is None:
                 continue
@@ -682,9 +672,6 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
     stable: Dict[FactType, FactType] = {t: t for t in types}
     readers: Dict[FactType, Set[FactType]] = {t: {t} for t in types}  # who read stable[key]
     dirty = set(types)
-    by_body: Dict[str, List[TGD]] = {}
-    for _, dep in linear:
-        by_body.setdefault(dep.body[0].relation, []).append(dep)
     while dirty:
         for t in types:
             if t not in dirty:
@@ -692,7 +679,7 @@ def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
             dirty.discard(t)
             st = stable[t]
             forced: Set[int] = set()
-            for dep in by_body.get(st.relation, ()):
+            for _, dep in linear.get(st.relation, ()):
                 res = _apply_linear(dep, st)
                 if res is None:
                     continue

@@ -130,9 +130,9 @@ def decide_pqi(q: UCQ, c: ConstraintSet, s: Schema, v: Instance, b: ChaseBudget)
     """
     _require_boolean(q)
     tree = visible_chase(c, s, v, b, prune=q)
-    for leaf in tree.by_status(LEAF):
-        if eval_ucq(q, leaf.instance) is not True:
-            return Verdict(False, certificate=Witness(ground_nulls(leaf.instance), polarity=False))
+    leaves = tree.by_status(LEAF)  # the query stop failed on each of them
+    if leaves:
+        return Verdict(False, certificate=Witness(ground_nulls(leaves[0].instance), polarity=False))
     if tree.by_status(BUDGET_CUT):
         return Verdict(None, reason="chase budget exhausted before every branch settled",
                        certificate=_tree_stats(tree))

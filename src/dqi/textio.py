@@ -381,21 +381,19 @@ def _var_text(v: Var) -> str:
 
 
 def _term_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return _var_text(t)
-    return _const_text(t.name)
+    """A formula term.  A constant is always quoted: written bare, a
+    lowercase name would read back as a variable."""
+    return _var_text(t) if isinstance(t, Var) else _quoted(t.name)
 
 
 def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _const_text(name: str) -> str:
-    return name if _LOWER_NAME.match(name) else _quoted(name)
-
-
 def _value_text(v: Value) -> str:
-    return value_name(v) if isinstance(v, Null) else _const_text(v.name)
+    if isinstance(v, Null):
+        return value_name(v)
+    return v.name if _LOWER_NAME.match(v.name) else _quoted(v.name)
 
 
 def _atom_text(a: Atom) -> str:

@@ -80,6 +80,29 @@ def test_reduce_writes_parseable_problem_file(tmp_path, capsys):
     assert "Q" in pf.queries and "V" in pf.instances
 
 
+# a lowercase query constant, which the reductions' output must keep quoted
+LOWERCASE_CONSTANT = """dqi-1
+schema { visible P/1; hidden A/2; }
+constraints { P(p) -> exists d. A(p, d); }
+query Q { exists p. A(p, "jones") }
+instance V { P(smith). }
+"""
+
+
+def test_reductions_keep_a_lowercase_query_constant(tmp_path, capsys):
+    problem = tmp_path / "in.dqi"
+    problem.write_text(LOWERCASE_CONSTANT)
+    code, _, _ = run(capsys, "check", "pqi", "--file", str(problem))
+    assert code == EXIT_FALSE
+    for reduction, check in (("pqi2nqi", "nqi"), ("ucq2cq", "pqi")):
+        out = tmp_path / f"{reduction}.dqi"
+        code, _, _ = run(capsys, "reduce", reduction, "--file", str(problem), "--out", str(out))
+        assert code == EXIT_TRUE
+        assert '"jones"' in out.read_text()
+        code, _, _ = run(capsys, "check", check, "--file", str(out))
+        assert code == EXIT_FALSE, reduction
+
+
 def test_reduce_to_stdout(capsys):
     code, out, _ = run(capsys, "reduce", "nqi2real", "--file", MEDICAL,
                        "--instance", "Vsmith", "--out", "-")

@@ -1,12 +1,13 @@
 """The differential gates that CI runs as scripts, run in-process with their
-exact checked/skipped counts: `scripts/gfp_regression.py --cases 300` and
-`scripts/run_reductions.py --seed 55 --cases 55`."""
+exact checked/skipped counts: `scripts/gfp_regression.py --cases 300`,
+`scripts/run_reductions.py --seed 55 --cases 55` and
+`scripts/oracle_sweep.py --seed 1`."""
 import importlib.util
 import pathlib
 
 import differentials as D
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "gfp_regression.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 # (checked, skipped) of each reduction harness on seeds 55-109
 REDUCTION_COUNTS = {
@@ -22,11 +23,28 @@ REDUCTION_COUNTS = {
 }
 
 
-def test_gfp_regression_checks_298_of_its_300_seeds():
-    spec = importlib.util.spec_from_file_location("gfp_regression_script", SCRIPT)
+# decider verdicts the oracle was asked about on seed 1, and those it
+# cannot refute, by decider
+SWEEP_CHECKED = {"pqi": 816, "nqi": 680, "owq": 663, "realizable": 383, "exists_pqi": 960, "exists_nqi": 1274}
+SWEEP_UNASKED = {"exists_pqi": 690, "owq": 415}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"{name}_script", SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.regression(range(300)) == (298, 2)
+    return script
+
+
+def test_gfp_regression_checks_298_of_its_300_seeds():
+    assert load_script("gfp_regression").regression(range(300)) == (298, 2)
+
+
+def test_oracle_sweep_refutes_no_verdict_on_seed_1():
+    checked, unasked, too_large = load_script("oracle_sweep").sweep(1)
+    assert checked == SWEEP_CHECKED
+    assert unasked == SWEEP_UNASKED
+    assert not too_large
 
 
 def test_reduction_harnesses_keep_their_counts_on_the_held_out_seeds():

@@ -10,7 +10,9 @@ from dqi.core import (
     Const,
     ConstraintSet,
     EGD,
+    Fact,
     HeadDisjunct,
+    Instance,
     RelationDecl,
     Schema,
     SchemaError,
@@ -172,6 +174,26 @@ def test_roundtrip_the_name_exists():
     assert again.schema == s
     assert again.constraints == c
     assert again.queries == queries
+
+
+def test_roundtrip_lowercase_formula_constants():
+    # in a formula a bare lowercase name reads back as a variable, so every
+    # formula constant is written quoted; instance values stay bare
+    s = Schema((RelationDecl("V", 2, True), RelationDecl("H", 1, False)))
+    x, y, k, jones = Var("x"), Var("y"), Const("k"), Const("jones")
+    c = ConstraintSet((
+        TGD((Atom("V", (x, y)),), (HeadDisjunct((), (Atom("H", (k,)),)),)),
+        EGD((Atom("V", (x, y)),), x, jones),
+    ))
+    queries = {"Q": UCQ((CQ((), (x,), (Atom("V", (x, jones)),)),))}
+    instances = {"I": Instance(s, frozenset({Fact("V", (jones, k))}))}
+    text = serialize(ProblemFile(s, c, queries, instances))
+    assert 'H("k")' in text and 'x = "jones"' in text and 'V(x, "jones")' in text
+    assert "V(jones, k)." in text
+    again = parse(text)
+    assert again.constraints == c
+    assert again.queries == queries
+    assert again.instances == instances
 
 
 def test_parse_reports_the_position_of_a_duplicate_instance():
