@@ -3,6 +3,15 @@
 Everything here is an immutable value; operations are pure functions.
 Constants obey the unique name assumption: distinct names denote
 distinct values, and a constant is never equal to a labeled null.
+
+The values that sets and dicts hold most are builtins underneath, so that
+they hash and compare in C: a `Const` is a `str` subclass holding its name,
+and `Var` and `Fact` are named tuples of their fields.  Hence
+`Const("a") == "a"`, `Var("x") == ("x",)` and `Fact(r, args) == (r, args)`:
+no set, dict or comparison may mix constant names with constants, or plain
+tuples with variables or facts.  `Null` and `Atom` stay dataclasses, so that
+a null never equals a one-entry equality pattern such as `(1,)` and a ground
+atom never equals the fact with the same values.
 """
 from __future__ import annotations
 
@@ -10,8 +19,8 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple, TypeVar, Union)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple, TypeVar, Union)
 
 
 class SchemaError(ValueError):
@@ -26,12 +35,23 @@ class ClassError(ValueError):
 # values and terms
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(str):
+    """A constant: the `str` of its name, printed as `Const('a')`; `name` is
+    the name as a plain `str`."""
+
+    __slots__ = ()
+
+    name = property(str.__str__)
 
     def __repr__(self) -> str:
-        return f"Const({self.name!r})"
+        return f"Const({str.__repr__(self)})"
+
+    __str__ = __repr__
+    __format__ = object.__format__  # `str.__format__` would print the bare name
+
+    # pickle protocols 0 and 1 would rebuild a `str` subclass from `str()`
+    def __reduce__(self) -> Tuple[type, Tuple[str]]:
+        return Const, (self.name,)
 
 
 @dataclass(frozen=True)
@@ -58,8 +78,7 @@ def value_name(v: Value) -> str:
     return v.name if isinstance(v, Const) else f"?{v.id}"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
@@ -161,8 +180,7 @@ def variables_of(atoms: Iterable[Atom]) -> Tuple[Var, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     relation: str
     args: Tuple[Value, ...]
 
@@ -366,7 +384,7 @@ class ConstraintSet:
         tags = set()
         if self.egds:
             tags.add(EGD_TAG)
-        if constant_names(self):
+        if any(isinstance(t, Const) for d in self.dependencies for t in _dep_terms(d)):
             tags.add(CONST_TAG)
         if any(len(t.heads) > 1 for t in tgds):
             tags.add(DISJ_TAG)
@@ -744,6 +762,15 @@ def _dep_atoms(dep: Dependency) -> Iterator[Atom]:
             yield from h.atoms
 
 
+def _dep_terms(dep: Dependency) -> Iterator[Term]:
+    """The terms of a dependency: its atoms' arguments and an EGD's sides."""
+    for a in _dep_atoms(dep):
+        yield from a.args
+    if isinstance(dep, EGD):
+        yield dep.left
+        yield dep.right
+
+
 def constant_names(
     c: Optional[ConstraintSet] = None, q: Optional[UCQ] = None
 ) -> Tuple[str, ...]:
@@ -752,11 +779,7 @@ def constant_names(
     even when the visible part does not."""
     names = set()
     if c is not None:
-        for dep in c.dependencies:
-            terms = [t for a in _dep_atoms(dep) for t in a.args]
-            if isinstance(dep, EGD):
-                terms += [dep.left, dep.right]
-            names.update(t.name for t in terms if isinstance(t, Const))
+        names.update(t.name for dep in c.dependencies for t in _dep_terms(dep) if isinstance(t, Const))
     if q is not None:
         names.update(
             t.name for d in q.disjuncts for a in d.atoms for t in a.args

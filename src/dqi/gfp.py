@@ -95,6 +95,10 @@ from .textio import _fo_atom
 MAX_COPIES = 20000
 MAX_CONSTRAINTS = 200000
 
+# how a query variable fares in a copy atom, unless a constant entry pins
+# it: kept, or dropped into a pattern group (neither equals any constant)
+_KEPT, _GROUPED = object(), object()
+
 # ---------------------------------------------------------------------------
 # hidden-relation copies
 
@@ -336,10 +340,10 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
         for a in d.atoms:
             opts: List[Tuple[Atom, Dict[Var, object]]] = []
             for copy_atom, entry_of in copy_atoms(a):
-                marks: Dict[Var, object] = {t: "sel" for t in copy_atom.args if isinstance(t, Var)}
+                marks: Dict[Var, object] = {t: _KEPT for t in copy_atom.args if isinstance(t, Var)}
                 if any(t in marks for t in entry_of):
                     continue  # split within one atom
-                marks.update((t, e if isinstance(e, Const) else "pat") for t, e in entry_of.items())
+                marks.update((t, e if isinstance(e, Const) else _GROUPED) for t, e in entry_of.items())
                 opts.append((copy_atom, marks))
             choices_per_atom.append(opts)
         for combo in itertools.product(*choices_per_atom):

@@ -22,6 +22,7 @@ quoted (`"Smith"`); inside instance blocks every argument is a constant
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -220,7 +221,10 @@ def _parse_schema(p: _Parser) -> Schema:
         ar = p.next()
         if ar.kind != "int":
             raise ParseError("expected arity", ar.line, ar.col)
-        decls.append(RelationDecl(name.text, int(ar.text), vis.text == "visible"))
+        arity = int(ar.text)
+        if arity > sys.maxsize:
+            raise ParseError(f"arity {ar.text} is too large", ar.line, ar.col)
+        decls.append(RelationDecl(name.text, arity, vis.text == "visible"))
         p.expect(";")
     p.expect("}")
     return Schema(tuple(decls))

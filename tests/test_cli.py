@@ -164,6 +164,18 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE and "instance" in err
 
 
+def test_an_arity_beyond_the_index_range_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.dqi"
+    path.write_text("dqi-1\n"
+                    "schema { visible P/1; hidden H/99999999999999999999; }\n"
+                    "constraints { }\n"
+                    "query Q { exists x. P(x) }\n"
+                    "instance V { P(a). }\n")
+    code, _, err = run(capsys, "check", "nqi", "--file", str(path))
+    assert code == EXIT_USAGE
+    assert "2:32: arity 99999999999999999999 is too large" in err
+
+
 _FUZZ_TOKEN = re.compile(r"\s+|\w+|\"[^\"]*\"|->|.", re.S)
 _FUZZ_BUDGET = ("--budget-nodes", "40", "--budget-facts", "30", "--budget-depth", "8")
 

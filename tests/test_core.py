@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -58,6 +60,51 @@ def simple_schema():
 
 def inst(s, *facts):
     return Instance(s, frozenset(facts))
+
+
+# ---------------------------------------------------------------------------
+# values, variables and facts
+
+
+def _mixed_terms():
+    a = Const("a")
+    return [Const("x"), Var("x"), Const("1"), Null(1), Fact("R", (a,)), Atom("R", (a,)), a, Var("a")]
+
+
+def test_values_of_different_kinds_are_never_equal():
+    assert Const("x") != Var("x") and Var("x") != Const("x")
+    assert Const("1") != Null(1) and Null(1) != Const("1")
+    assert Fact("R", (Const("a"),)) != Atom("R", (Const("a"),))
+    assert Atom("R", (Const("a"),)) != Fact("R", (Const("a"),))
+    terms = _mixed_terms()
+    assert len(set(terms)) == len(terms)
+
+
+def test_value_hashes_agree_with_equality():
+    for t, u in zip(_mixed_terms(), _mixed_terms()):
+        assert t == u and hash(t) == hash(u)
+    # the representation: a constant is its name's `str`, a variable and a
+    # fact are tuples of their fields; `Null` and `Atom` stay dataclasses,
+    # so that no null equals an equality pattern and no atom a fact
+    assert Const("a") == "a" and Var("x") == ("x",)
+    assert Fact("R", (Const("a"),)) == ("R", (Const("a"),))
+    assert dataclasses.is_dataclass(Null) and dataclasses.is_dataclass(Atom)
+
+
+def test_value_text_is_unchanged():
+    a, x, f = Const("a"), Var("x"), Fact("R", (Const("a"), Null(1)))
+    assert repr(a) == str(a) == f"{a}" == "{}".format(a) == "Const('a')"
+    assert repr(x) == str(x) == f"{x}" == "Var('x')"
+    assert repr(f) == str(f) == f"{f}" == "Fact(relation='R', args=(Const('a'), Null(1)))"
+    assert type(a.name) is str and a.name == "a"
+    assert repr(Const("it's")) == 'Const("it\'s")'
+
+
+def test_values_survive_pickling():
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        for t in _mixed_terms():
+            back = pickle.loads(pickle.dumps(t, proto))
+            assert back == t and type(back) is type(t) and repr(back) == repr(t)
 
 
 # ---------------------------------------------------------------------------

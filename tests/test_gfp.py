@@ -578,3 +578,18 @@ def test_transform_keeps_a_selected_body_variable_on_a_constant_entry():
     assert TGD((Atom(copy.name, (_k,)),), (HeadDisjunct((), (Atom("V", (_k,)),)),)) \
         in tr.constraints.dependencies
     assert copy.name == "H_c1"
+
+
+@pytest.mark.parametrize("name", ["sel", "pat"])
+def test_transform_translates_a_query_the_same_whatever_its_constants_are_named(name):
+    # the query variable x is kept in one copy atom and dropped onto a
+    # constant entry in another: the two marks disagree, so no copy choice
+    # splits it, however the constant is named
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 1, False), RelationDecl("G", 1, False)))
+    q = boolean_ucq([Atom("H", (_x,)), Atom("G", (_x,))])
+
+    def disjuncts(constant):
+        c = ConstraintSet((TGD((Atom("V", (_x,)),), (HeadDisjunct((), (Atom("H", (Const(constant),)),)),)),))
+        return [str(d.atoms) for d in transform_adom(q, c, s).query.disjuncts]
+
+    assert disjuncts(name) == [text.replace("'k'", repr(name)) for text in disjuncts("k")]
