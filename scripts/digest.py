@@ -6,6 +6,10 @@ seeded inputs, one per suite:
   seeded digraph-reachability encodings and on seeded random
   inclusion-dependency and linear problems; each answer with its witness
   as sorted facts.
+- `maxdb`: the maximal database of the NQI largest-model pass on the `nqi`
+  suite's inputs, looked up for every hidden relation with every set of
+  positions bound to the values some of its facts hold there; each lookup's
+  facts sorted.
 - `oracle`: all four oracles of `dqi.oracle` (`oracle_pqi`, `oracle_nqi`,
   `oracle_realizable`, `oracle_owq`) on seeded random problems of five
   families: inclusion dependencies, linear TGDs, disjunctive heads, linear
@@ -30,12 +34,14 @@ pin in `PINNED`:
 A change that means to alter some of these outputs updates that suite's pin.
 """
 import hashlib
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
 
 from dqi.chase import ChaseBudget, classical_chase, visible_chase
-from dqi.core import CQ, EGD, UCQ, Atom, ClassError, Const, ConstraintSet, Var
+from dqi import gfp
+from dqi.core import CQ, EGD, UCQ, Atom, ClassError, Const, ConstraintSet, Var, fact_key, value_key
 from dqi.deciders import (
     ChaseExhausted,
     ClassExact,
@@ -71,6 +77,7 @@ from dqi.textio import parse
 
 PINNED = {
     "nqi": "2689241fe3558f291466dfbf32212618d7a1e3194489558faf142a4dd00cebb5",
+    "maxdb": "0f4f6cacc39403e800703b1421abd325ae487bb2950b121ba320c1c3e5cc2b33",
     "oracle": "a5b8bc59267a2a1bf817bb121ec03ac896d4efd336e2ebba17fd4ff0aeb7d6cc",
     "chase": "12901591a5e2c2f30a99aa3f803d5395887179ea107a07d7e910c45fc5d7676f",
 }
@@ -101,6 +108,51 @@ def nqi_lines():
             ans, witness = None, None
         facts = () if witness is None else witness.sorted_facts()
         yield f"{label} {ans} {facts!r}\n", {True: "true", False: "false", None: "out-of-class"}[ans]
+
+
+# ---------------------------------------------------------------------------
+# maxdb
+
+
+def maximal_databases(q, c, s, v):
+    """The maximal databases (`dqi.gfp._MaximalDatabase`) that deciding the
+    problem with `nqi_gfp_detail` builds, with the rules each was built from."""
+    made = []
+    plain = gfp._MaximalDatabase
+
+    class Recorded(plain):
+        def __init__(self, rules, constants, ext):
+            super().__init__(rules, constants, ext)
+            made.append((self, rules))
+
+    gfp._MaximalDatabase = Recorded
+    try:
+        nqi_gfp_detail(q, c, s, v)
+    except ClassError:
+        pass
+    finally:
+        gfp._MaximalDatabase = plain
+    return made
+
+
+def maxdb_lines():
+    """Over the `nqi` suite's inputs, for every hidden relation of every
+    maximal database and every set of positions, the facts that an atom of
+    distinct variables matches when the seed binds those positions to the
+    values of some fact at them."""
+    for label, problem in nqi_problems():
+        for db, rules in maximal_databases(*problem):
+            for rel, arity in sorted({(head.relation, len(head.args)) for head, _ in rules}):
+                xs = tuple(Var(f"x{i}") for i in range(arity))
+                atom = Atom(rel, xs)
+                whole = db.facts(atom)
+                for r in range(arity + 1):
+                    for positions in itertools.combinations(range(arity), r):
+                        keys = {tuple(f.args[i] for i in positions) for f in whole}
+                        for key in sorted(keys, key=lambda k: [value_key(x) for x in k]):
+                            seed = dict(zip([xs[i] for i in positions], key))
+                            got = sorted(db.facts(atom, seed), key=fact_key)
+                            yield f"{label} {rel} {positions} {key!r} {got!r}\n", "lookups"
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +283,7 @@ def chase_lines():
 
 # ---------------------------------------------------------------------------
 
-SUITES = {"nqi": nqi_lines, "oracle": oracle_lines, "chase": chase_lines}
+SUITES = {"nqi": nqi_lines, "maxdb": maxdb_lines, "oracle": oracle_lines, "chase": chase_lines}
 
 
 def digest(suite):

@@ -66,9 +66,10 @@ Value = Union[Const, Null]
 
 
 def value_key(v: Value) -> Tuple[int, object]:
-    """Total order over values: constants by name, then nulls by id."""
+    """Total order over values: constants by name, then nulls by id (a
+    `Const` compares as its name)."""
     if isinstance(v, Const):
-        return (0, v.name)
+        return (0, v)
     return (1, v.id)
 
 
@@ -186,7 +187,9 @@ class Fact(NamedTuple):
 
 
 def fact_key(f: Fact) -> Tuple:
-    return (f.relation, tuple(map(value_key, f.args)))
+    """Total order over facts: by relation, then by `value_key` of the
+    values, written out inline."""
+    return (f.relation, tuple([(0, v) if isinstance(v, Const) else (1, v.id) for v in f.args]))
 
 
 @dataclass(frozen=True)
@@ -241,9 +244,9 @@ class Instance:
 
     @cached_property
     def _match_state(self) -> "MatchState":
-        """Relation buckets (each in `fact_key` order) and hash indexes for
-        `find_homomorphisms`, made on the first search over the instance; the
-        instance is immutable, so every later search reuses them.
+        """Relation buckets (each in `fact_key` order) and the hash indexes
+        that `facts_at` reads, made on the first search over the instance;
+        the instance is immutable, so every later search reuses them.
 
         An instance made by `derive` from one with a built state (its base)
         derives its state from the base's: untouched relation buckets and
@@ -472,29 +475,8 @@ def find_homomorphisms(
     Backtracking search, most-constrained atom first; the output order is
     deterministic for fixed inputs.
     """
-    by_rel, index = target._match_state
-
     remaining = list(atoms)
     base: Homomorphism = dict(seed) if seed else {}
-
-    def candidates(atom: Atom, mapping: Homomorphism) -> list:
-        bound: list = []
-        key: list = []
-        for pos, t in enumerate(atom.args):
-            v = _term_value(t, mapping)
-            if v is not None:
-                bound.append(pos)
-                key.append(v)
-        sig = (atom.relation, len(atom.args), tuple(bound))
-        table = index.get(sig)
-        if table is None:
-            table = {}
-            for f in by_rel.get(atom.relation, ()):
-                if len(f.args) != sig[1]:
-                    continue
-                table.setdefault(tuple(f.args[p] for p in sig[2]), []).append(f)
-            index[sig] = table
-        return table.get(tuple(key), [])
 
     def extend(mapping: Homomorphism, todo: list) -> Iterator[Homomorphism]:
         if not todo:
@@ -505,7 +487,7 @@ def find_homomorphisms(
         # (fully bound atoms are pure membership checks and always win)
         best = None  # (count, new_vars, position, atom, candidate list)
         for i, a in enumerate(todo):
-            cand = candidates(a, mapping)
+            cand = facts_at(target, a.relation, len(a.args), *_known(a, mapping))
             new_vars = len({t for t in a.args
                             if isinstance(t, Var) and t not in mapping})
             if new_vars == 0:
@@ -523,6 +505,59 @@ def find_homomorphisms(
                 yield from extend(m, rest)
 
     return extend(base, remaining)
+
+
+def _known(atom: Atom, mapping: Mapping[Var, Value]) -> Tuple[Tuple[int, ...], Tuple[Value, ...]]:
+    """The positions of `atom` whose value a constant or `mapping` fixes,
+    and those values."""
+    positions: list = []
+    key: list = []
+    for pos, t in enumerate(atom.args):
+        v = t if isinstance(t, Const) else mapping.get(t)
+        if v is not None:
+            positions.append(pos)
+            key.append(v)
+    return tuple(positions), tuple(key)
+
+
+def facts_at(target: Instance, relation: str, arity: int,
+             positions: Tuple[int, ...], key: Tuple[Value, ...]) -> Sequence[Fact]:
+    """The facts of `relation` with `arity` values in `target` that hold
+    `key` at `positions` (increasing), in bucket (`fact_key`) order.
+
+    They are read from a hash table on those positions, which the
+    instance's match state makes on the first read and keeps; the result
+    is that table's entry, which the caller must not change."""
+    by_rel, index = target._match_state
+    sig = (relation, arity, positions)
+    table = index.get(sig)
+    if table is None:
+        table = {}
+        for f in by_rel.get(relation, ()):
+            if len(f.args) == arity:
+                table.setdefault(tuple([f.args[p] for p in positions]), []).append(f)
+        index[sig] = table
+    return table.get(key, ())
+
+
+def matched_facts(atom: Atom, target: Instance, seed: Mapping[Var, Value]) -> List[Fact]:
+    """The facts of `target` that `atom` matches under `seed`, in bucket
+    order: the image of each match that `find_homomorphisms((atom,),
+    target, seed)` enumerates, in its order, with no match built."""
+    found = facts_at(target, atom.relation, len(atom.args), *_known(atom, seed))
+    equal = repeats(atom, seed)
+    if not equal:
+        return list(found)
+    return [f for f in found if all(f.args[i] == f.args[j] for i, j in equal)]
+
+
+def repeats(atom: Atom, seed: Mapping[Var, Value]) -> List[Tuple[int, int]]:
+    """The pairs of positions of `atom` that a variable `seed` leaves
+    unbound fills, each later position with the first: the values a fact
+    must repeat for `atom` to match it beyond the ones `_known` fixes."""
+    first: Dict[Var, int] = {}
+    return [(i, first[t]) for i, t in enumerate(atom.args)
+            if isinstance(t, Var) and t not in seed and first.setdefault(t, i) != i]
 
 
 H = TypeVar("H", bound=Hashable)

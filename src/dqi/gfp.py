@@ -26,7 +26,11 @@ polynomial data time.  The pipeline has three stages:
    relation with a single rule bound by extensional atoms, which is
    unfolded into the rules that use it.  Its facts are derived from the
    rules either all at once or only where one partially bound atom can
-   match, whose known values ``core.bind`` binds to each rule head.
+   match, whose known values ``core.bind`` binds to each rule head.  Each
+   rule is compiled once, on its relation's first lookup, into a position
+   plan (``_rule_plan``): a key on its first extensional atom, read from a
+   hash table of the visible facts (``core.facts_at``), and a head
+   template filled from each fact found.
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
@@ -50,7 +54,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     Atom,
@@ -76,10 +80,13 @@ from .core import (
     bind,
     boolean_cq,
     constant_names,
+    facts_at,
     find_homomorphisms,
     fresh_name,
     match_fact,
+    matched_facts,
     normalize_single_head,
+    repeats,
     support_lookup,
     value_key,
     CONST_TAG,
@@ -523,6 +530,10 @@ def build_gfp_program(q: UCQ, c: ConstraintSet, s: Schema) -> GFPProgram:
     )
 
 
+# a compiled rule: the facts it derives, given the values a lookup fixes
+_Plan = Callable[[Optional[Sequence[Optional[Value]]]], List[Fact]]
+
+
 class _MaximalDatabase:
     """The maximal intensional database of (head, body) rules, enumerated
     whole or only where a partially bound atom can match.
@@ -575,6 +586,7 @@ class _MaximalDatabase:
         # the rules with their extensional atoms, by head relation; a head
         # constant outside the domain makes a rule derive nothing
         self.rules: Dict[str, List[Tuple[Atom, Tuple[Atom, ...]]]] = {}
+        self.plans: Dict[str, List[_Plan]] = {}  # by head relation, once looked up
         for head, body, ext_atoms in split:
             if any(isinstance(t, Const) and t not in self.domain_set for t in head.args):
                 continue
@@ -594,40 +606,101 @@ class _MaximalDatabase:
 
     def facts(self, atom: Optional[Atom] = None,
               seed: Mapping[Var, Value] = {}) -> Set[Fact]:
-        """Every fact, or with `atom` only those it matches under `seed`: each
-        rule for its relation then runs with the head positions that `atom`
-        binds as the seed of its extensional match.
-
-        Values that the extensional match binds lie in the domain, so only
-        the seeded values are checked against it, once per rule, and an atom
-        of distinct variables that `seed` leaves unbound matches every fact
-        of its relation."""
+        """Every fact, or with `atom` only those it matches under `seed`:
+        each rule for its relation then runs, through its position plan
+        (`_rule_plan`, compiled on the relation's first lookup), with the
+        values that `atom` fixes at the head positions, its constants and
+        the variables `seed` binds, and the facts it derives must repeat
+        the values where a variable `seed` leaves unbound repeats
+        (`core.repeats`)."""
         if atom is None:
-            rules = [rule for rs in self.rules.values() for rule in rs]
+            known, relations, equal = None, list(self.rules), []
         else:
-            rules = self.rules.get(atom.relation, [])
-        whole = atom is None or (
-            len(set(atom.args)) == len(atom.args)
-            and all(isinstance(t, Var) and t not in seed for t in atom.args)
-        )
-        # the values `atom` fixes: its constants and the variables `seed` binds
-        known = () if atom is None else [t if isinstance(t, Const) else seed.get(t) for t in atom.args]
+            known = [t if isinstance(t, Const) else seed.get(t) for t in atom.args]
+            relations, equal = [atom.relation], repeats(atom, seed)
         out: Set[Fact] = set()
-        for head, ext_atoms in rules:
-            bound = bind(head.args, known, {})
-            if bound is None or any(val not in self.domain_set for val in bound.values()):
-                continue
-            head_vars = head.variables
-            for h in find_homomorphisms(ext_atoms, self.ext, seed=bound):
-                free = [x for x in head_vars if x not in h]
-                for combo in itertools.product(self.domain, repeat=len(free)):
-                    m = {**h, **dict(zip(free, combo))} if combo else h
-                    fact = Fact(head.relation, tuple(
-                        m[t] if isinstance(t, Var) else t for t in head.args
-                    ))
-                    if whole or match_fact(atom, fact, seed) is not None:
-                        out.add(fact)
+        for rel in relations:
+            plans = self.plans.get(rel)
+            if plans is None:
+                plans = self.plans[rel] = [
+                    _rule_plan(head, ext_atoms, self.ext, self.domain, self.domain_set)
+                    for head, ext_atoms in self.rules.get(rel, ())
+                ]
+            for plan in plans:
+                out.update(plan(known))
+        if equal:
+            return {f for f in out if all(f.args[i] == f.args[j] for i, j in equal)}
         return out
+
+
+def _rule_plan(
+    head: Atom, ext_atoms: Sequence[Atom], ext: Instance, domain: Sequence[Value], domain_set: Set[Value]
+) -> _Plan:
+    """A rule of `_MaximalDatabase` compiled into positions: a function from
+    the values a lookup fixes at the head positions (None where it fixes
+    none, or no list for no lookup) to the facts the rule derives that hold
+    them.
+
+    The lookup's values are bound to the head once (`core.bind`).  The
+    rule's first extensional atom is then read from `ext` through
+    `core.facts_at`, keyed on its constants and on the values bound to its
+    variables; its repeated variables give the positions each fact must
+    repeat.  A rule without extensional atoms reads one empty row.  Each
+    head position is a constant, a position of that atom, or the slot of a
+    variable the atom leaves unbound, which ranges over the domain unless
+    the lookup binds it or the rule's other extensional atoms do
+    (`find_homomorphisms`, seeded from the first atom's fact).  Values the
+    atoms bind lie in the domain, so only a bound slot value is checked
+    against it."""
+    first_of: Dict[Var, int] = {}
+    consts: Dict[int, Value] = {}
+    equal: List[Tuple[int, int]] = []
+    width = len(ext_atoms[0].args) if ext_atoms else 0
+    for i, t in enumerate(ext_atoms[0].args if ext_atoms else ()):
+        if isinstance(t, Const):
+            consts[i] = t
+        elif first_of.setdefault(t, i) != i:
+            equal.append((i, first_of[t]))
+    rest = tuple(ext_atoms[1:])
+    slot_vars = [x for x in head.variables if x not in first_of]
+    # the head as indexes into a row, then the slot values, then its terms
+    template = [width + len(slot_vars) + hp if isinstance(t, Const)
+                else first_of[t] if t in first_of else width + slot_vars.index(t)
+                for hp, t in enumerate(head.args)]
+
+    def plan(known: Optional[Sequence[Optional[Value]]]) -> List[Fact]:
+        bound = {} if known is None else bind(head.args, known, {})
+        if bound is None or (known is not None and len(known) != len(head.args)):
+            return []
+        key = dict(consts)
+        for x, v in bound.items():
+            if x in first_of:
+                if key.setdefault(first_of[x], v) != v:
+                    return []
+            elif v not in domain_set:
+                return []
+        rows: Sequence[Tuple[Value, ...]] = [()]
+        if ext_atoms:
+            positions = tuple(sorted(key))
+            found = facts_at(ext, ext_atoms[0].relation, width, positions, tuple([key[p] for p in positions]))
+            rows = [f.args for f in found
+                    if not equal or all(f.args[i] == f.args[j] for i, j in equal)]
+        if not rest:
+            combos: Iterable[Tuple[Value, ...]] = list(
+                itertools.product(*[(bound[x],) if x in bound else domain for x in slot_vars]))
+        out: List[Fact] = []
+        for row in rows:
+            if rest:
+                h = {x: row[p] for x, p in first_of.items()}
+                h.update((x, v) for x, v in bound.items() if x not in first_of)
+                combos = (combo for g in find_homomorphisms(rest, ext, h)
+                          for combo in itertools.product(*[(g[x],) if x in g else domain for x in slot_vars]))
+            for combo in combos:
+                values = row + combo + head.args
+                out.append(Fact(head.relation, tuple([values[i] for i in template])))
+        return out
+
+    return plan
 
 
 def _prune_unsupported(
@@ -708,14 +781,17 @@ def _largest_model(
     s: Schema,
     v: Instance,
     forced_empty: Sequence[Atom] = (),
-    extra_constants: Sequence[str] = (),
+    extra_constants: Optional[Sequence[str]] = None,
 ) -> Optional[Instance]:
     """The largest sub-instance of the maximal database of the constraints'
-    shape rules (`_shape_rules`) over the active domain of `v`, the
-    constants of `c` and `q` and `extra_constants`, with visible part `v`,
-    that satisfies every constraint, or None when there is none or it
-    falsifies the query.  The TGD bodies and head disjuncts must be single
-    atoms; a head disjunct may also be empty.
+    shape rules (`_shape_rules`) over the active domain of `v` and the
+    named constants, with visible part `v`, that satisfies every
+    constraint, or None when there is none or it falsifies the query.  The
+    named constants are `extra_constants`, which must then hold every
+    constant of `c` and `q` (`nqi_gfp_detail` passes the ones it collected
+    before the transform), or else those of `c` and `q`.  The TGD bodies
+    and head disjuncts must be single atoms; a head disjunct may also be
+    empty.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
     facts matching the head of each disjunct are its supports: from `v` for
@@ -727,16 +803,19 @@ def _largest_model(
     query matches alone, querying the maximal database at each trigger's
     values, prunes it, and decides a None answer there.  That closure holds
     every support of its facts, so its survivors and its deleted facts are
-    final.  Otherwise phase 2 enumerates the maximal database's hidden facts
-    once, indexes them by position (`core.support_lookup`), and prunes only
-    the facts that phase 1 did not explore, giving the whole largest model
-    as the witness.
+    final; its visible lookups read the facts of `v` that an atom matches
+    (`core.matched_facts`).  Otherwise phase 2 enumerates the maximal
+    database's hidden facts once, indexes them by position
+    (`core.support_lookup`), and prunes only the facts that phase 1 did not
+    explore, giving the whole largest model as the witness.
     """
     hidden = {r.name for r in s.hidden_relations}
     for f in v.facts:
         if f.relation in hidden:
             raise SchemaError(f"{f.relation} is not extensional")
-    maxdb = _MaximalDatabase(_shape_rules(c, s), {*constant_names(c, q), *extra_constants}, v)
+    if extra_constants is None:
+        extra_constants = constant_names(c, q)
+    maxdb = _MaximalDatabase(_shape_rules(c, s), extra_constants, v)
     # body atom and head disjuncts of each trigger, by body relation; a fact
     # of a forced-empty copy owes an obligation that nothing supports
     triggers: Dict[str, List[Tuple[Atom, Tuple[HeadDisjunct, ...]]]] = {}
@@ -755,7 +834,7 @@ def _largest_model(
         if atom.relation in hidden:
             found: Iterable[Fact] = maxdb.facts(atom, seed)
         else:
-            found = [apply_hom((atom,), g)[0] for g in find_homomorphisms((atom,), v, seed)]
+            found = matched_facts(atom, v, seed)
         for f in found:
             if not rest:
                 yield (f,)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -34,6 +35,7 @@ from dqi.core import (
     eval_ucq,
     find_homomorphisms,
     match_fact,
+    matched_facts,
     normalize_single_head,
     satisfies,
 )
@@ -197,6 +199,28 @@ def test_find_homomorphisms_order_is_pinned():
     assert [[h[v].name for v in (x, y, z)] for h in homs] == [
         ["a", "a", "c"], ["c", "a", "c"], ["a", "a", "d"], ["c", "a", "d"], ["a", "b", "d"]]
     assert all(list(h) == [y, z, x] for h in homs)
+
+
+def test_matched_facts_are_the_images_of_the_single_atom_matches():
+    # every atom of R over two variables, a constant and a repeat, under
+    # every seed of those variables: the same facts in the same order
+    s = Schema((RelationDecl("R", 3, True), RelationDecl("S", 1, True)))
+    a, b, c = Const("a"), Const("b"), Const("c")
+    rng = random.Random(7)
+    i = inst(s, *{Fact("R", tuple(rng.choice((a, b, c, Null(1))) for _ in range(3)))
+                  for _ in range(20)}, Fact("S", (a,)))
+    x, y = Var("x"), Var("y")
+    seeds = [{v: val for v, val in zip((x, y), vals) if val is not None}
+             for vals in itertools.product((None, a, Null(1)), (None, b))]
+    found = 0
+    for args in itertools.product((x, y, a, c), repeat=3):
+        atom = Atom("R", args)
+        for seed in seeds:
+            got = matched_facts(atom, i, seed)
+            assert got == [apply_hom((atom,), h)[0] for h in find_homomorphisms((atom,), i, seed)]
+            found += len(got)
+    assert found > 100
+    assert matched_facts(Atom("S", (x, y)), i, {}) == []
 
 
 def test_match_fact_binds_a_repeated_variable_once():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from typing import List
 
 import pytest
@@ -21,6 +22,7 @@ from dqi.core import (
     active_domain,
     apply_hom,
     boolean_ucq,
+    constant_names,
     eval_ucq,
     find_homomorphisms,
     fact_key,
@@ -547,6 +549,61 @@ def test_support_lookup_agrees_with_match_fact(body, heads):
     assert found > 0 or not heads
 
 
+_m = Var("m")
+_LOOKUP_RULES = [
+    (Atom("H", (_x, _y)), ()),  # no extensional atom
+    (Atom("H", (_x, _k)), (Atom("E", (_x, _y)),)),  # a head constant
+    (Atom("G", (_x, _x, _z)), (Atom("E", (_x, _y)),)),  # a repeated and a free head variable
+    (Atom("G", (_x, _y, _z)), (Atom("E", (_x, _y)), Atom("F", (_y, _z)))),  # two atoms
+    (Atom("G", (_y, _k, _y)), (Atom("E", (_y, _y)),)),  # a repeated atom variable
+    (Atom("J", (_z,)), (Atom("F", (_k, _z)),)),  # an atom constant
+    (Atom("J", (_m,)), (Atom("E", (_x, _y)), Atom("F", (_y, _x)))),  # two atoms, a free variable
+    (Atom("K", (Const("q"), _x)), (Atom("E", (_x, _y)),)),  # a constant outside the domain
+]
+
+
+def _maximal_database_by_brute_force(rules, constants, ext):
+    """Every head fact of every assignment of a rule's variables over the
+    domain that maps its (extensional) atoms into `ext`, without the facts
+    holding a value outside the domain."""
+    domain = set(active_domain(ext)) | {Const(n) for n in constants}
+    out = set()
+    for head, atoms in rules:
+        xs = sorted({x for a in (head, *atoms) for x in a.variables}, key=lambda x: x.name)
+        for combo in itertools.product(sorted(domain), repeat=len(xs)):
+            m = dict(zip(xs, combo))
+            if set(apply_hom(atoms, m)) <= ext.facts:
+                fact = apply_hom((head,), m)[0]
+                if set(fact.args) <= domain:
+                    out.add(fact)
+    return out
+
+
+def test_compiled_lookups_match_the_brute_force_database():
+    a, b, c, out = Const("a"), Const("b"), Const("c"), Const("out")
+    s = Schema((RelationDecl("E", 2, True), RelationDecl("F", 2, True)))
+    ext = Instance(s, frozenset(
+        [Fact("E", args) for args in [(a, b), (b, b), (b, c), (c, a), (_k, _k)]]
+        + [Fact("F", args) for args in [(b, c), (c, c), (_k, a), (a, b)]]))
+    db = _MaximalDatabase(_LOOKUP_RULES, ("k",), ext)
+    every = _maximal_database_by_brute_force(_LOOKUP_RULES, ("k",), ext)
+    assert db.facts() == every
+    # lookup atoms of variables, a constant in the domain and one outside
+    # it, with each variable unbound or seeded inside or outside the domain
+    terms = (_x, _y, a, out)
+    seeds = [{x: val for x, val in zip((_x, _y), vals) if val is not None}
+             for vals in itertools.product((None, b, out), (None, c))]
+    hits = Counter()
+    for rel, arity in (("H", 2), ("G", 3), ("J", 1), ("K", 2)):
+        for args in itertools.product(terms, repeat=arity):
+            atom = Atom(rel, args)
+            for seed in seeds:
+                want = {f for f in every if match_fact(atom, f, seed) is not None}
+                assert db.facts(atom, seed) == want, (atom, seed)
+                hits[rel] += bool(want)
+    assert hits["H"] and hits["G"] and hits["J"] and not hits["K"]
+
+
 def test_nqi_decision_path_builds_no_datalog_program(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the decision path built a Datalog program")
@@ -593,3 +650,46 @@ def test_transform_translates_a_query_the_same_whatever_its_constants_are_named(
         return [str(d.atoms) for d in transform_adom(q, c, s).query.disjuncts]
 
     assert disjuncts(name) == [text.replace("'k'", repr(name)) for text in disjuncts("k")]
+
+
+def _with_constants(problem, rng):
+    """The problem with `x0` in each constraint and `q0` in the query made
+    constants, each `a` (a visible value) or `k` (none)."""
+    q, c, s, v = problem
+
+    def pinned(atoms, x):
+        k = Const(rng.choice("ak"))
+        return tuple(Atom(a.relation, tuple(k if t == x else t for t in a.args)) for a in atoms)
+
+    c = ConstraintSet(tuple(
+        TGD(pinned(t.body, Var("x0")), tuple(HeadDisjunct(d.exist_vars, pinned(d.atoms, Var("x0")))
+                                             for d in t.heads))
+        for t in c.tgds))
+    return boolean_ucq(*(pinned(d.atoms, Var("q0")) for d in q.disjuncts)), c, s, v
+
+
+def test_translated_constants_lie_in_the_constants_nqi_gfp_detail_holds(monkeypatch):
+    # the translated constraints and query name no constant outside the ones
+    # `nqi_gfp_detail` hands to `_largest_model`, which therefore need not
+    # collect them again: on the `nqi` digest's problems, which name none,
+    # and on its random ones with constants put in
+    largest_model = gfp._largest_model
+    named: List[int] = []
+
+    def checked(q, c, s, v, forced_empty=(), extra_constants=None):
+        assert set(constant_names(c, q)) <= set(extra_constants)
+        named.append(len(constant_names(c, q)))
+        return largest_model(q, c, s, v, forced_empty, extra_constants)
+
+    monkeypatch.setattr(gfp, "_largest_model", checked)
+    problems = [reachability_problem(*random_digraph(random.Random(seed), max_nodes=5))
+                for seed in range(60)]
+    randoms = [(random_id_problem if seed % 2 else random_linear_problem)(random.Random(seed))
+               for seed in range(600)]
+    problems += randoms + [_with_constants(p, random.Random(n)) for n, p in enumerate(randoms[:200])]
+    for problem in problems:
+        try:
+            nqi_gfp_detail(*problem)
+        except ClassError:
+            pass
+    assert len(named) > 700 and sum(n > 0 for n in named) > 100
