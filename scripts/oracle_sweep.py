@@ -22,6 +22,15 @@ verdict, and the sweep fails on it.  The other verdicts without a witness
 (existential PQI False, OWQ False) cannot be refuted by a bounded search;
 they are counted as unasked.
 
+Most of those come from fact types, so a second sweep over the same inputs
+(`fact_type_sweep`) checks every fact-type verdict against a chase that
+saturates under the same budget: an existential PQI verdict against the
+critical-instance chase, an OWQ verdict against the classical chase of the
+visible instance.  Each chase step only adds facts or renames nulls, so a
+query that holds where a chase stopped at its budget holds on the whole
+chase; otherwise a chase that hits the budget leaves its verdict unchecked.
+A verdict that disagrees with its chase fails the sweep.
+
     python3 scripts/oracle_sweep.py --seed 9001
 """
 import argparse
@@ -29,9 +38,10 @@ import random
 from collections import Counter
 from typing import Tuple
 
-from dqi.chase import ChaseBudget
-from dqi.core import ClassError, Const, Instance, critical_instance
+from dqi.chase import SATURATED, ChaseBudget, chase_vis_critical, classical_chase
+from dqi.core import ClassError, Const, Instance, critical_instance, eval_ucq
 from dqi.deciders import (
+    ClassExact,
     Witness,
     decide_exists_nqi,
     decide_exists_pqi,
@@ -117,6 +127,44 @@ def sweep(seed: int, cases: int = CASES) -> Tuple[Counter, Counter, Counter]:
     return checked, unasked, too_large
 
 
+# the certificates of the fact-type verdicts, by decider
+FACT_TYPES = {"exists_pqi": ClassExact("fact types over the critical instance"),
+              "owq": ClassExact("fact-type reachability")}
+
+
+def fact_type_sweep(seed: int, cases: int = CASES) -> Tuple[Counter, Counter]:
+    """Check every fact-type verdict of the first `cases` inputs of `seed`
+    against the chase it decides without running: the critical-instance
+    chase for existential PQI, the classical chase of the visible instance
+    for OWQ.  Return the checked counts and the counts left unchecked
+    because the chase neither saturated under `BUDGET` nor satisfied the
+    query, by decider, raising AssertionError on a disagreement."""
+    checked, unsaturated = Counter(), Counter()
+    for index in range(cases):
+        gen_seed = seed * SEED_STRIDE + index
+        q, c, s, v = inputs(gen_seed, linear=index % 2 == 1)
+        for name, decide, chase in (
+                ("exists_pqi", lambda: decide_exists_pqi(q, c, s, BUDGET),
+                 lambda: chase_vis_critical(c, s, Const("a"), BUDGET)),
+                ("owq", lambda: decide_owq(q, c, v, BUDGET), lambda: classical_chase(v, c, BUDGET))):
+            try:
+                verdict = decide()
+            except ClassError:
+                continue
+            if verdict.certificate != FACT_TYPES[name]:
+                continue
+            res = chase()
+            holds = eval_ucq(q, res.instance) is True
+            if not holds and res.status != SATURATED:
+                unsaturated[name] += 1
+                continue
+            if verdict.value is not holds:
+                raise AssertionError(f"{name}/{gen_seed}: fact types say {verdict.value}, "
+                                     f"the saturated chase disagrees")
+            checked[name] += 1
+    return checked, unsaturated
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1, help="run seed (default 1)")
@@ -130,6 +178,9 @@ def main() -> int:
     print(f"oracle-sweep: seed={args.seed} checked={sum(checked.values())} ({counts(checked)}) "
           f"unasked={sum(unasked.values())} ({counts(unasked)}) "
           f"too_large={sum(too_large.values())} refutations=0")
+    checked, unsaturated = fact_type_sweep(args.seed, args.cases)
+    print(f"fact-type-sweep: seed={args.seed} checked={sum(checked.values())} ({counts(checked)}) "
+          f"unsaturated={sum(unsaturated.values())} ({counts(unsaturated)}) disagreements=0")
     return 0
 
 

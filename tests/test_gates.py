@@ -1,7 +1,8 @@
 """The differential gates that CI runs as scripts, run in-process with their
 exact checked/skipped counts: `scripts/gfp_regression.py --cases 300`,
 `scripts/run_reductions.py --seed 55 --cases 55` and
-`scripts/oracle_sweep.py --seed 1`."""
+`scripts/oracle_sweep.py --seed 1` (its oracle sweep and its fact-type
+sweep)."""
 import importlib.util
 import pathlib
 
@@ -27,6 +28,10 @@ REDUCTION_COUNTS = {
 # cannot refute, by decider
 SWEEP_CHECKED = {"pqi": 816, "nqi": 680, "owq": 663, "realizable": 383, "exists_pqi": 960, "exists_nqi": 1274}
 SWEEP_UNASKED = {"exists_pqi": 690, "owq": 415}
+# fact-type verdicts on seed 1 that a chase under the sweep's budget checked,
+# and those whose chase neither saturated nor satisfied the query
+FACT_TYPE_CHECKED = {"exists_pqi": 1643, "owq": 487}
+FACT_TYPE_UNSATURATED = {"exists_pqi": 7, "owq": 21}
 
 
 def load_script(name):
@@ -45,6 +50,12 @@ def test_oracle_sweep_refutes_no_verdict_on_seed_1():
     assert checked == SWEEP_CHECKED
     assert unasked == SWEEP_UNASKED
     assert not too_large
+
+
+def test_fact_type_sweep_finds_no_disagreement_on_seed_1():
+    checked, unsaturated = load_script("oracle_sweep").fact_type_sweep(1)
+    assert checked == FACT_TYPE_CHECKED
+    assert unsaturated == FACT_TYPE_UNSATURATED
 
 
 def test_reduction_harnesses_keep_their_counts_on_the_held_out_seeds():
