@@ -45,14 +45,16 @@ copies, whose patterns hold named constants, and `core.bind` binds terms
 to a pattern's entries as it does to a fact's values.  `_bind` matches an
 atom against a type,
 `_apply_linear` applies one TGD to it, and one breadth-first loop,
-`_reach`, saturates a set of types.  `fact_type_closure` maps every type
-to its stable type, the one its facts end up with once grounding has
-forced their nulls to `a`, and runs that loop from the critical instance
-over stable types; `decide_pqi_critical_linear` embeds each query image
-into the resulting forest, one component of null-linked facts
-(`core.components`) at a time, in a search memoised on its states
-(`_Forest`), which decides query implication over the critical instance
-without materializing an unbounded chase.
+`_reach`, saturates a set of types.  `fact_type_closure` runs that loop
+from the critical instance over stable types: it maps each type the loop
+demands to its stable type, the one its facts end up with once grounding
+has forced their nulls to `a`, solving only the types that one demands.
+`decide_pqi_critical_linear` joins each query's atoms to the reachable
+types (`_reachable_patterns`) and embeds each image so found into the
+resulting forest, one component of null-linked facts (`core.components`)
+at a time, in a search memoised on its states (`_Forest`), which decides
+query implication over the critical instance without materializing an
+unbounded chase.
 `decide_owq_atomic_linear` runs the loop from the types of a given
 instance to answer atomic queries open-world.
 """
@@ -61,8 +63,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Callable, Deque, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from .core import (
     Atom,
@@ -653,50 +655,61 @@ class TypeClosure:
 
 
 def fact_type_closure(c: ConstraintSet, s: Schema) -> TypeClosure:
-    """Saturate forcing and derivability over fact types.
+    """Saturate forcing and derivability over the fact types that the
+    critical instance demands.
 
-    `stable` sends every type to the type its facts end up with.  Grounding
-    in the critical instance maps every value of a visible fact to `a`, so a
+    `stable` sends a type to the type its facts end up with.  Grounding in
+    the critical instance maps every value of a visible fact to `a`, so a
     group of `stable[t]` is forced when a linear TGD copies it into a
     visible fact, or into a position that is `a` in the stable type of the
-    hidden fact it produces.  Forcing collapses patterns, which can enable
-    more unifications, so sweep over every type (derivations may start
-    anywhere) until no stable type changes; then collect the stable types
-    reachable from the critical instance.  A sweep revisits only the dirty
-    types, those whose last visit read a `stable` entry that has changed
-    since: a clean type would force nothing again, so the sweeps change
-    `stable` exactly as full rescans would.
+    hidden fact it produces.  Forcing collapses the pattern, and the
+    collapse's stable type becomes `stable[t]`; that can enable more
+    unifications, so a worklist re-solves a type whenever a `stable` entry
+    that it read changes.  Entries exist only for demanded types: the types
+    `_reach` produces from the critical instance, and the hidden targets
+    and collapses that solving a demanded type reads.  A type reads only
+    the entries of types it demands, so `_reach`'s `norm` solves the types
+    it demands to their fixpoint before it returns, and later demands never
+    change them.
     """
     linear = _linear_tgds(c)
-    types = [FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)]
-    stable: Dict[FactType, FactType] = {t: t for t in types}
-    readers: Dict[FactType, Set[FactType]] = {t: {t} for t in types}  # who read stable[key]
-    dirty = set(types)
-    while dirty:
-        for t in types:
-            if t not in dirty:
+    stable: Dict[FactType, FactType] = {}
+    # who read stable[key], and the types to re-solve, as ordered sets
+    readers: Dict[FactType, Dict[FactType, None]] = {}
+    work: Dict[FactType, None] = {}
+
+    def demand(t: FactType) -> FactType:
+        if t not in stable:
+            stable[t], readers[t], work[t] = t, {t: None}, None
+        return stable[t]
+
+    def solve(t: FactType) -> None:
+        st = stable[t]
+        forced: Set[int] = set()
+        for _, dep in linear.get(st.relation, ()):
+            res = _apply_linear(dep, st)
+            if res is None:
                 continue
-            dirty.discard(t)
-            st = stable[t]
-            forced: Set[int] = set()
-            for _, dep in linear.get(st.relation, ()):
-                res = _apply_linear(dep, st)
-                if res is None:
-                    continue
-                target, corr = res
-                if s.decl(target.relation).visible:
-                    forced.update(g for g, _ in corr)
-                else:
-                    readers[target].add(t)
-                    marked = {raw for raw, e in zip(target.pattern, stable[target].pattern) if e == A_MARK}
-                    forced.update(g for g, g2 in corr if g2 in marked)
-            if forced:
-                entries = [A_MARK if e in forced else e for e in st.pattern]
-                stable[t] = stable[FactType(st.relation, canon_pattern(entries))]
-                dirty |= readers[t]
+            target, corr = res
+            if s.decl(target.relation).visible:
+                forced.update(g for g, _ in corr)
+            else:
+                marked = {raw for raw, e in zip(target.pattern, demand(target).pattern) if e == A_MARK}
+                readers[target][t] = None
+                forced.update(g for g, g2 in corr if g2 in marked)
+        if forced:
+            entries = [A_MARK if e in forced else e for e in st.pattern]
+            stable[t] = demand(FactType(st.relation, canon_pattern(entries)))
+            work.update(readers[t])
+
+    def norm(t: FactType) -> FactType:
+        demand(t)
+        while work:
+            solve(work.popitem()[0])
+        return stable[t]
 
     roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
-    reachable, edges = _reach(linear, roots, stable.__getitem__)
+    reachable, edges = _reach(linear, roots, norm)
     return TypeClosure(edges=edges, reachable=frozenset(reachable))
 
 
@@ -764,14 +777,61 @@ def decide_pqi_critical_linear(q: UCQ, c: ConstraintSet, s: Schema) -> bool:
 
 
 def _disjunct_embeds(d: CQ, closure: TypeClosure, forest: "_Forest") -> bool:
+    """Can the disjunct's variables be split into `a`-valued ones and null
+    groups so that every image fact has a reachable type and every null
+    component of the image embeds into one subtree of the forest?  Only the
+    splits that `_reachable_patterns` joins are tried: an all-`a` image fact
+    must be reachable, and every forest node's type is."""
     if any(isinstance(t, Const) for atom in d.atoms for t in atom.args):
         return False  # constant-free setting
     variables = list(d.variables)
-    for assignment in (dict(zip(variables, p)) for p in _patterns(len(variables))):
+    roots = sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
+    for pattern in _reachable_patterns(d.atoms, variables, roots):
+        assignment = dict(zip(variables, pattern))
         image = [(atom.relation, tuple(assignment[t] for t in atom.args)) for atom in d.atoms]
-        if _image_realized(image, closure, forest):
+        nullish = list(dict.fromkeys(f for f in image if _nulls(f)))
+        if all(any(forest.component(root, comp, {}) for root in roots)
+               for comp in components(nullish, _nulls)):
             return True
     return False
+
+
+def _reachable_patterns(atoms: Sequence[Atom], variables: Sequence[Var],
+                        types: Iterable[FactType]) -> Iterator[Pattern]:
+    """Each canonical pattern of `variables` under which every atom's image
+    fact has one of `types`, once.
+
+    A join: each atom in turn is bound by `_bind` to a type of its relation,
+    and the type's groups go one-to-one to null labels, consistent with the
+    variables bound so far.  A group with a bound variable keeps its label;
+    any other takes a label of an earlier atom or a fresh one, and the
+    atom's image must then have the type's pattern.  Two complete maps
+    differ in some atom's type or in which variables share a label, so no
+    pattern comes twice."""
+    by_relation: Dict[str, List[FactType]] = {}
+    for t in types:
+        by_relation.setdefault(t.relation, []).append(t)
+
+    def join(i: int, assign: Dict[Var, int]) -> Iterator[Pattern]:
+        if i == len(atoms):
+            yield canon_pattern([assign[v] for v in variables])
+            return
+        atom = atoms[i]
+        earlier = list(dict.fromkeys(e for e in assign.values() if e != A_MARK))
+        for t in by_relation.get(atom.relation, ()):
+            entries = _bind(atom, t)
+            if entries is None:
+                continue
+            label = {A_MARK: A_MARK, **{e: assign[v] for v, e in entries.items() if v in assign}}
+            free = [g for g in t.groups() if g not in label]
+            for picks in itertools.product([*earlier, None], repeat=len(free)):
+                fresh = itertools.count(max(earlier, default=A_MARK) + 1)
+                label.update((g, next(fresh) if p is None else p) for g, p in zip(free, picks))
+                ext = {**{v: label[e] for v, e in entries.items()}, **assign}
+                if canon_pattern([ext[v] for v in atom.args]) == t.pattern:
+                    yield from join(i + 1, ext)
+
+    return join(0, {})
 
 
 # An image fact: a query atom's relation and the pattern of its image, with
@@ -781,15 +841,6 @@ ImageFact = Tuple[str, Tuple[int, ...]]
 
 def _nulls(f: ImageFact) -> List[int]:
     return [e for e in f[1] if e != A_MARK]
-
-
-def _image_realized(image: Sequence[ImageFact], closure: TypeClosure, forest: "_Forest") -> bool:
-    if any(not _nulls(f) and FactType(*f) not in closure.reachable for f in image):
-        return False
-    nullish = list(dict.fromkeys(f for f in image if _nulls(f)))
-    roots = sorted(closure.reachable, key=lambda t: (t.relation, t.pattern))
-    return all(any(forest.component(root, comp, {}) for root in roots)
-               for comp in components(nullish, _nulls))
 
 
 def _match_fact(t: FactType, fact: ImageFact, bind: Mapping[int, int]) -> Optional[Dict[int, int]]:

@@ -781,15 +781,15 @@ def _largest_model(
     s: Schema,
     v: Instance,
     forced_empty: Sequence[Atom] = (),
-    extra_constants: Optional[Sequence[str]] = None,
+    constants: Optional[Sequence[str]] = None,
 ) -> Optional[Instance]:
     """The largest sub-instance of the maximal database of the constraints'
     shape rules (`_shape_rules`) over the active domain of `v` and the
     named constants, with visible part `v`, that satisfies every
     constraint, or None when there is none or it falsifies the query.  The
-    named constants are `extra_constants`, which must then hold every
+    named constants are `constants` when given, which must then hold every
     constant of `c` and `q` (`nqi_gfp_detail` passes the ones it collected
-    before the transform), or else those of `c` and `q`.  The TGD bodies
+    before the transform), and those of `c` and `q` otherwise.  The TGD bodies
     and head disjuncts must be single atoms; a head disjunct may also be
     empty.
 
@@ -813,9 +813,9 @@ def _largest_model(
     for f in v.facts:
         if f.relation in hidden:
             raise SchemaError(f"{f.relation} is not extensional")
-    if extra_constants is None:
-        extra_constants = constant_names(c, q)
-    maxdb = _MaximalDatabase(_shape_rules(c, s), extra_constants, v)
+    if constants is None:
+        constants = constant_names(c, q)
+    maxdb = _MaximalDatabase(_shape_rules(c, s), constants, v)
     # body atom and head disjuncts of each trigger, by body relation; a fact
     # of a forced-empty copy owes an obligation that nothing supports
     triggers: Dict[str, List[Tuple[Atom, Tuple[HeadDisjunct, ...]]]] = {}
@@ -921,7 +921,7 @@ def nqi_gfp_detail(
         method, back = "selected-attribute transform + greatest fixpoint", tr.reconstruct
         q, c0, s0, forced_empty = tr.query, tr.constraints, tr.schema, tr.forced_empty
     v0 = v if v.schema == s0 else Instance(s0, v.facts)
-    model = _largest_model(q, c0, s0, v0, forced_empty=forced_empty, extra_constants=extra)
+    model = _largest_model(q, c0, s0, v0, forced_empty=forced_empty, constants=extra)
     if model is None:
         return True, None, method
     keep = set(s.by_name)

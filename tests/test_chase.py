@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,7 @@ from dqi.core import (
     head_matches,
     instance_hom_exists,
     map_instance,
+    normalize_single_head,
     satisfies,
     value_key,
     value_name,
@@ -289,6 +291,99 @@ def test_fact_type_closure_forces_through_a_hidden_fact_and_collapses():
     assert res.instance.facts_of("H") == (Fact("H", (a, a)),)
     assert decide_pqi_critical_linear(boolean_ucq([Atom("K", (x,))]), c, s)
     assert not decide_pqi_critical_linear(boolean_ucq([Atom("J", (x, x))]), c, s)
+
+
+def _reference_fact_type_closure(c, s):
+    """The stable types of every pattern of every relation, by sweeps over
+    all of them until none changes, then the closure from the critical
+    instance: the all-types pass that the demand-driven solver replaced."""
+    linear = chase._linear_tgds(c)
+    types = [FactType(r.name, pat) for r in s.relations for pat in _patterns(r.arity)]
+    stable = {t: t for t in types}
+    changed = True
+    while changed:
+        changed = False
+        for t in types:
+            st = stable[t]
+            forced = set()
+            for _, dep in linear.get(st.relation, ()):
+                res = chase._apply_linear(dep, st)
+                if res is None:
+                    continue
+                target, corr = res
+                if s.decl(target.relation).visible:
+                    forced.update(g for g, _ in corr)
+                else:
+                    marked = {raw for raw, e in zip(target.pattern, stable[target].pattern) if e == A_MARK}
+                    forced.update(g for g, g2 in corr if g2 in marked)
+            if forced:
+                entries = [A_MARK if e in forced else e for e in st.pattern]
+                stable[t] = stable[FactType(st.relation, canon_pattern(entries))]
+                changed = True
+    roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
+    return chase._reach(linear, roots, stable.__getitem__)
+
+
+def random_linear_set(rng):
+    """A constant-free linear set over relations of arity up to 4, with a
+    two-atom head on half the seeds, split by `normalize_single_head` into
+    its auxiliary relations."""
+    s = random_schema(rng, max_relations=4, max_arity=4)
+    c = random_linear_constraints(rng, s, max_deps=4)
+    if rng.random() < 0.5:
+        first, second = rng.choice(c.tgds), rng.choice(c.tgds)
+        frontier = set(first.body[0].args)
+        head = first.heads[0]
+        extra = second.heads[0].atoms[0]
+        renamed = Atom(extra.relation, tuple(v if v in frontier or v in head.exist_vars else Var("z" + v.name)
+                                             for v in extra.args))
+        exist = tuple(dict.fromkeys((*head.exist_vars, *(v for v in renamed.args if v.name[0] == "z"))))
+        c = ConstraintSet((*c.tgds, TGD(first.body, (HeadDisjunct(exist, (*head.atoms, renamed)),))))
+        c, s = normalize_single_head(c, s)
+    return c, s
+
+
+def test_demanded_stable_types_and_the_query_join_match_the_all_types_pass():
+    # the join is checked on queries of up to four atoms over four
+    # variables, drawn from the relations of the reachable types
+    qvars = [Var(f"q{i}") for i in range(4)]
+    auxiliary = forced = joins = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        c, s = random_linear_set(rng)
+        auxiliary += any(r.name.startswith("_aux_h") for r in s.relations)
+        closure = fact_type_closure(c, s)
+        reachable, edges = _reference_fact_type_closure(c, s)
+        assert closure.reachable == reachable and closure.edges == edges, seed
+        roots = [FactType(r.name, (A_MARK,) * r.arity) for r in s.visible_relations]
+        forced += chase._reach(chase._linear_tgds(c), roots, lambda t: t)[0] != reachable
+        relations = sorted({t.relation for t in reachable})
+        for _ in range(5):
+            atoms = [Atom(r, tuple(rng.choice(qvars) for _ in range(s.decl(r).arity)))
+                     for r in (rng.choice(relations) for _ in range(rng.randint(1, 4)))]
+            variables = list(dict.fromkeys(v for a in atoms for v in a.args))
+            joined = list(chase._reachable_patterns(atoms, variables, closure.reachable))
+            filtered = [p for p in _patterns(len(variables))
+                        if all(FactType(a.relation, canon_pattern([dict(zip(variables, p))[v] for v in a.args]))
+                               in reachable for a in atoms)]
+            assert len(joined) == len(set(joined)) and set(joined) == set(filtered), seed
+            joins += len(joined) > 1
+    assert auxiliary >= 150 and forced >= 80 and joins >= 200
+
+
+def test_exists_pqi_answers_a_nine_ary_hidden_relation_quickly():
+    # V(x) -> exists y1..y8. H(x, y1, .., y8): the critical chase holds
+    # V(a) and one H fact with eight distinct nulls
+    xs = [Var(f"x{i}") for i in range(9)]
+    ys = tuple(Var(f"y{i}") for i in range(1, 9))
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 9, False)))
+    c = ConstraintSet((TGD((Atom("V", (xs[0],)),), (HeadDisjunct(ys, (Atom("H", (xs[0], *ys)),)),)),))
+    for args, expected in ((xs, True), ([xs[0], xs[0], *xs[2:]], False)):
+        start = time.perf_counter()
+        verdict = decide_exists_pqi(boolean_ucq([Atom("H", tuple(args))]), c, s, ChaseBudget())
+        assert time.perf_counter() - start < 2.0
+        assert verdict.value is expected
+        assert verdict.certificate == ClassExact("fact types over the critical instance")
 
 
 # ---------------------------------------------------------------------------

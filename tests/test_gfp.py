@@ -419,11 +419,11 @@ def test_forced_empty_copy_fact_dies():
     assert _largest_model(q, c, s, v, forced_empty=(Atom("H", (x,)),)) is None
 
 
-def _reference_largest_model(q, c, s, v, forced_empty=(), extra_constants=()):
+def _reference_largest_model(q, c, s, v, forced_empty=(), constants=()):
     """The largest-model pass without the program: every domain tuple of
     every hidden relation, every trigger, one pruning, then the checks."""
     program = build_gfp_program(q, c, s)
-    domain = set(active_domain(v)) | {Const(n) for n in (*program.constants, *extra_constants)}
+    domain = set(active_domain(v)) | {Const(n) for n in (*program.constants, *constants)}
     hidden = {
         Fact(r.name, args)
         for r in s.hidden_relations
@@ -676,10 +676,10 @@ def test_translated_constants_lie_in_the_constants_nqi_gfp_detail_holds(monkeypa
     largest_model = gfp._largest_model
     named: List[int] = []
 
-    def checked(q, c, s, v, forced_empty=(), extra_constants=None):
-        assert set(constant_names(c, q)) <= set(extra_constants)
+    def checked(q, c, s, v, forced_empty=(), constants=None):
+        assert set(constant_names(c, q)) <= set(constants)
         named.append(len(constant_names(c, q)))
-        return largest_model(q, c, s, v, forced_empty, extra_constants)
+        return largest_model(q, c, s, v, forced_empty, constants)
 
     monkeypatch.setattr(gfp, "_largest_model", checked)
     problems = [reachability_problem(*random_digraph(random.Random(seed), max_nodes=5))
