@@ -231,13 +231,20 @@ class Instance:
         if not gained and not lost:
             return self
         self._check(gained)
-        child = object.__new__(Instance)
-        object.__setattr__(child, "schema", self.schema)
-        object.__setattr__(child, "facts", (self.facts - lost if lost else self.facts) | gained)
+        child = Instance._unchecked(self.schema, (self.facts - lost if lost else self.facts) | gained)
         base = self if "_match_state" in self.__dict__ else self.__dict__.get("_state_base")
         if base is not None:
             child.__dict__["_state_base"] = base
         return child
+
+    @staticmethod
+    def _unchecked(schema: Schema, facts: FrozenSet[Fact]) -> "Instance":
+        """The instance of `facts`, made without validating them: the caller
+        knows that each fits `schema`."""
+        inst = object.__new__(Instance)
+        object.__setattr__(inst, "schema", schema)
+        object.__setattr__(inst, "facts", facts)
+        return inst
 
     def facts_of(self, relation: str) -> Tuple[Fact, ...]:
         return tuple(sorted((f for f in self.facts if f.relation == relation), key=fact_key))
@@ -593,12 +600,18 @@ def match_fact(atom: Atom, fact: Fact, seed: Mapping[Var, Value]) -> Optional[Ho
 Support = Tuple[Fact, ...]
 
 
-def _atom_plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optional[Tuple[Value, ...]]]:
-    """`atom` compiled into positions: a function from a fact of its
-    relation to the fact's values at the first positions of `keys`, or None
-    when the arity, a constant or a repeated variable of `atom` disagrees
-    with it."""
-    arity = len(atom.args)
+class Shape(NamedTuple):
+    """An atom compiled into positions: its arity, its constants by
+    position, the pairs of positions that a repeated variable fills (each
+    later position with the first), and the first position of each
+    variable, in order of occurrence."""
+    arity: int
+    consts: List[Tuple[int, Const]]
+    equal: List[Tuple[int, int]]
+    first: Dict[Var, int]
+
+
+def _shape(atom: Atom) -> Shape:
     first: Dict[Var, int] = {}
     consts: List[Tuple[int, Const]] = []
     equal: List[Tuple[int, int]] = []
@@ -607,21 +620,21 @@ def _atom_plan(atom: Atom, keys: Sequence[Var] = ()) -> Callable[[Fact], Optiona
             consts.append((i, t))
         elif first.setdefault(t, i) != i:
             equal.append((i, first[t]))
-    positions = [first[x] for x in keys]
+    return Shape(len(atom.args), consts, equal, first)
 
-    def key(fact: Fact) -> Optional[Tuple[Value, ...]]:
-        args = fact.args
-        if len(args) != arity:
-            return None
-        for i, c in consts:
-            if args[i] != c:
-                return None
-        for i, j in equal:
-            if args[i] != args[j]:
-                return None
-        return tuple([args[i] for i in positions])
 
-    return key
+def _fits(shape: Shape, args: Tuple[Value, ...]) -> bool:
+    """Does the atom of `shape` match a fact of its relation with `args`?"""
+    arity, consts, equal, _ = shape
+    if len(args) != arity:
+        return False
+    for i, c in consts:
+        if args[i] != c:
+            return False
+    for i, j in equal:
+        if args[i] != args[j]:
+            return False
+    return True
 
 
 def support_lookup(
@@ -634,32 +647,34 @@ def support_lookup(
     A support is a fact that matches a head disjunct's atom where the
     disjunct's frontier variables take the body fact's values, or the empty
     support of an empty disjunct; the disjuncts must have at most one atom.
-    Each disjunct's facts are indexed by the values at their frontier
-    positions, so a lookup is one dict access per disjunct (the compiled
-    trigger lookup of ChaseBench-style engines, Benedikt et al., PODS
-    2017).  It finds the supports that `head_matches` finds for the body
-    match `match_fact(body, fact, {})`."""
-    body_vars = set(body.variables)
-    body_matches = _atom_plan(body)
-    indexed = []
+    Each atom is compiled once into its shape (`_shape`), and the frontier
+    positions in the body and in each head are read off the shapes.  Each
+    disjunct's facts are indexed by the values at their frontier positions,
+    so a lookup checks the body fact once and makes one dict access per
+    disjunct (the compiled trigger lookup of ChaseBench-style engines,
+    Benedikt et al., PODS 2017).  It finds the supports that `head_matches`
+    finds for the body match `match_fact(body, fact, {})`."""
+    shape = _shape(body)
+    indexed: List[Tuple[List[int], Dict[Tuple[Value, ...], List[Support]]]] = []
     for d in heads:
         if not d.atoms:
-            indexed.append((body_matches, {(): [()]}))
+            indexed.append(([], {(): [()]}))
             continue
         (head,) = d.atoms
-        frontier = [x for x in head.variables if x in body_vars and x not in d.exist_vars]
-        head_key = _atom_plan(head, frontier)
+        head_shape = _shape(head)
+        frontier = [x for x in head_shape.first if x in shape.first and x not in d.exist_vars]
+        positions = [head_shape.first[x] for x in frontier]
         index: Dict[Tuple[Value, ...], List[Support]] = {}
         for f in facts_of.get(head.relation, ()):
-            k = head_key(f)
-            if k is not None:
-                index.setdefault(k, []).append((f,))
-        indexed.append((_atom_plan(body, frontier), index))
+            if _fits(head_shape, f.args):
+                index.setdefault(tuple([f.args[i] for i in positions]), []).append((f,))
+        indexed.append(([shape.first[x] for x in frontier], index))
 
     def lookup(fact: Fact) -> Optional[List[Support]]:
-        if body_matches(fact) is None:
+        args = fact.args
+        if not _fits(shape, args):
             return None
-        return [m for body_key, index in indexed for m in index.get(body_key(fact), ())]
+        return [m for positions, index in indexed for m in index.get(tuple([args[i] for i in positions]), ())]
 
     return lookup
 
@@ -704,15 +719,6 @@ def ground_nulls(i: Instance) -> Instance:
         if isinstance(val, Null):
             mapping[val] = Const(fresh_name(f"!n{val.id}", taken))
     return map_instance(i, mapping) if mapping else i
-
-
-def instance_hom_exists(source: Instance, target: Instance) -> bool:
-    """Is there a homomorphism source -> target fixing constants?"""
-    atoms = [Atom(f.relation, tuple(v if isinstance(v, Const) else Var(f"n_{v.id}") for v in f.args))
-             for f in source.sorted_facts()]
-    for _ in find_homomorphisms(atoms, target):
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -892,7 +892,7 @@ def _largest_model(
         for supports in [lookup(f)]
         if supports is not None
     ]
-    return Instance(s, frozenset(alive | _prune_unsupported(rest, obligations)))
+    return Instance._unchecked(s, frozenset(alive | _prune_unsupported(rest, obligations)))
 
 
 def nqi_gfp_detail(
@@ -907,6 +907,14 @@ def nqi_gfp_detail(
     _require_plain_linear(c)
     if q.free_vars:
         raise ClassError("NQI expects a Boolean query")
+    # `v0` below is made without validation, so check here that `v` holds
+    # only visible facts of `s`
+    if v.schema != s:
+        v = Instance(s, v.facts)
+    hidden = {r.name for r in s.hidden_relations}
+    for f in v.facts:
+        if f.relation in hidden:
+            raise SchemaError(f"{f.relation} is not extensional")
     # one spare value keeps the collapse argument sound on an empty domain
     extra: Tuple[str, ...] = constant_names(c, q)
     if not extra and not any(f.args for f in v.facts):
@@ -920,10 +928,10 @@ def nqi_gfp_detail(
         tr = transform_adom(q, c0, s0)
         method, back = "selected-attribute transform + greatest fixpoint", tr.reconstruct
         q, c0, s0, forced_empty = tr.query, tr.constraints, tr.schema, tr.forced_empty
-    v0 = v if v.schema == s0 else Instance(s0, v.facts)
+    v0 = v if v.schema == s0 else Instance._unchecked(s0, v.facts)
     model = _largest_model(q, c0, s0, v0, forced_empty=forced_empty, constants=extra)
     if model is None:
         return True, None, method
     keep = set(s.by_name)
-    witness = Instance(s, frozenset(f for f in back(model).facts if f.relation in keep))
+    witness = Instance._unchecked(s, frozenset(f for f in back(model).facts if f.relation in keep))
     return False, witness, method

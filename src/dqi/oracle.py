@@ -28,19 +28,31 @@ containment in S (a set of pool facts is a bitmask over pool positions):
 Most dependencies are TGDs with one body atom and head disjuncts of at most
 one atom.  Those, and the one-atom query disjuncts, go through the compiled
 trigger of `core.support_lookup`, shared with the NQI largest model: the
-body relation's facts of the top instance are walked once, each disjunct's
-supports are one dict access, and facts map straight to pool bits.  EGDs
-and longer bodies or disjuncts go through `find_homomorphisms`.
+body relation's facts of `base` and the pool are walked once, each
+disjunct's supports are one dict access, and facts map straight to pool
+bits.  EGDs and longer bodies or disjuncts go through `find_homomorphisms`
+on the top instance, which is made only for them.
+
+The size of a space is counted from its domain and relations before its
+pool is built (`_Pool`), and a space over the ceiling raises
+SearchSpaceTooLarge.  After compiling, a search drops every pool fact that
+on its own is the facts of a trigger without supports (node consistency,
+the first step of support counting, AC-4, Mohr & Henderson 1986): a
+constraint trigger, or, when the query must fail, a one-fact query match.
+No candidate holding such a fact can be an answer.  When such a trigger
+lies in the base, no candidate is.  The size check counts the whole pool.
 
 Candidates come in the order of `enumerate_extensions` and
-`enumerate_supersets`, so the first witness is the one the plain loop
-(build the instance, then `satisfies` and `eval_ucq`) finds.
+`enumerate_supersets`, less the ones holding a dropped fact, so the first
+witness is the one the plain loop (build the instance, then `satisfies`
+and `eval_ucq`) finds.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
@@ -55,6 +67,7 @@ from .core import (
     Schema,
     TGD,
     UCQ,
+    Value,
     _term_value,
     active_domain,
     apply_hom,
@@ -106,17 +119,17 @@ def fresh_constants(k: int) -> Tuple[Const, ...]:
 
 
 def _extension_space(v: Instance, s: Schema, d: DomainBound,
-                     extra_constants: Tuple[Const, ...]) -> Tuple[Instance, List[Fact]]:
+                     extra_constants: Tuple[Const, ...]) -> Tuple[Instance, "_Pool"]:
     """The base and the fact pool of the completions of `v`: every hidden fact."""
     base = Instance(s, frozenset(v.facts))
-    return base, _facts_over(s.hidden_relations, base, d, extra_constants)
+    return base, _Pool(s.hidden_relations, _domain(base, d, extra_constants))
 
 
 def _superset_space(i: Instance, s: Schema, d: DomainBound,
-                    extra_constants: Tuple[Const, ...]) -> Tuple[Instance, List[Fact]]:
+                    extra_constants: Tuple[Const, ...]) -> Tuple[Instance, "_Pool"]:
     """The base and the fact pool of the supersets of `i`: every fact of `s`
     not in it."""
-    return i, [f for f in _facts_over(s.relations, i, d, extra_constants) if f not in i.facts]
+    return i, _Pool(s.relations, _domain(i, d, extra_constants), skip=i.facts)
 
 
 def enumerate_extensions(v: Instance, s: Schema, d: DomainBound,
@@ -127,30 +140,62 @@ def enumerate_extensions(v: Instance, s: Schema, d: DomainBound,
     increasing cardinality.  Each hidden-fact subset appears exactly once.
     """
     base, pool = _extension_space(v, s, d, extra_constants)
-    for combo in _combinations(base, pool, d):
+    for combo in _combinations(pool, _top(base, len(pool), d)):
         yield base.with_facts(combo)
 
 
-def _facts_over(relations: Sequence[RelationDecl], i: Instance, d: DomainBound,
-                extra_constants: Tuple[Const, ...]) -> List[Fact]:
-    """Every fact of `relations` (by name, tuples lexicographic) over the
-    active domain of `i`, `d.extra_values` fresh constants and
-    `extra_constants`."""
-    domain = sorted(active_domain(i) | set(fresh_constants(d.extra_values)) | set(extra_constants),
-                    key=value_key)
-    return [Fact(rel.name, tup) for rel in sorted(relations, key=lambda r: r.name)
-            for tup in itertools.product(domain, repeat=rel.arity)]
+def _domain(i: Instance, d: DomainBound, extra_constants: Tuple[Const, ...]) -> List[Value]:
+    """The active domain of `i`, `d.extra_values` fresh constants and
+    `extra_constants`, in `value_key` order."""
+    return sorted(active_domain(i) | set(fresh_constants(d.extra_values)) | set(extra_constants),
+                  key=value_key)
 
 
-def _combinations(base: Instance, pool: Sequence[T], d: DomainBound) -> Iterator[Tuple[T, ...]]:
-    """Every subset of `pool` that keeps `base` within `d.max_facts_total`
-    facts, by increasing size.  Raises SearchSpaceTooLarge at once, not on
-    the first item, when their number exceeds `d.space_ceiling`."""
-    top = min(len(pool), max(d.max_facts_total - len(base.facts), 0))
-    size = sum(math.comb(len(pool), k) for k in range(top + 1))
+class _Pool(Sequence[Fact]):
+    """Every fact of `relations` (by name, tuples lexicographic) over
+    `domain` that is not in `skip`, which may hold only such facts.  Its
+    length, the sum of |domain|^arity less |skip|, is counted without
+    building a fact, so a space over the ceiling is refused before its
+    pool exists; the facts are built on first access."""
+
+    def __init__(self, relations: Sequence[RelationDecl], domain: List[Value],
+                 skip: FrozenSet[Fact] = frozenset()):
+        self._relations = sorted(relations, key=lambda r: r.name)
+        self._domain = domain
+        self._skip = skip
+        self._len = sum(len(domain) ** r.arity for r in relations) - len(skip)
+
+    @cached_property
+    def _facts(self) -> List[Fact]:
+        facts = (Fact(rel.name, tup) for rel in self._relations
+                 for tup in itertools.product(self._domain, repeat=rel.arity))
+        return [f for f in facts if f not in self._skip]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Fact:  # type: ignore[override]
+        return self._facts[i]
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._facts)
+
+
+def _top(base: Instance, n: int, d: DomainBound) -> int:
+    """The most facts a candidate takes from a pool of `n`, so that `base`
+    stays within `d.max_facts_total` facts.  Raises SearchSpaceTooLarge when
+    the subsets of the pool of at most that many exceed `d.space_ceiling`."""
+    top = min(n, max(d.max_facts_total - len(base.facts), 0))
+    size = sum(math.comb(n, k) for k in range(top + 1))
     if size > d.space_ceiling:
         raise SearchSpaceTooLarge(size)
-    return itertools.chain.from_iterable(itertools.combinations(pool, k) for k in range(top + 1))
+    return top
+
+
+def _combinations(items: Sequence[T], top: int) -> Iterator[Tuple[T, ...]]:
+    """Every subset of at most `top` of `items`, by increasing size, each
+    in the order of `items`."""
+    return itertools.chain.from_iterable(itertools.combinations(items, k) for k in range(top + 1))
 
 
 # A set of pool facts is a bitmask: pool fact i is bit 1 << i.  A trigger is
@@ -178,6 +223,22 @@ def _violated(index: Index, combo: Tuple[int, ...], s: int) -> bool:
     return False
 
 
+def _unsupported(index: Index) -> int:
+    """The pool facts that each on their own are the facts of a trigger of
+    `index` with no supports, as a mask: no candidate holding one of them
+    escapes the trigger.  -1, every fact and the base too, when such a
+    trigger lies in the base."""
+    dead = 0
+    for key, triggers in index.items():
+        for facts, supports in triggers:
+            if facts == key and not supports:
+                if not key:
+                    return -1
+                dead |= key
+                break
+    return dead
+
+
 def _index(triggers: Iterable[Trigger]) -> Index:
     index: Index = {}
     for trigger in triggers:
@@ -191,11 +252,15 @@ def _compile(c: ConstraintSet, q: Optional[UCQ], base: Instance,
     indexes over pool bitmasks (see the module docstring).  A match of the
     query is a trigger without supports, so the query holds on `base ∪ S`
     iff that index has a trigger violated inside S."""
-    top = base.with_facts(pool)
     bit = {f: 1 << i for i, f in enumerate(pool) if f not in base.facts}
     facts_of: Dict[str, List[Fact]] = {}
-    for f in top.facts:
+    for f in itertools.chain(base.facts, bit):
         facts_of.setdefault(f.relation, []).append(f)
+    cqs = q.disjuncts if q is not None and not q.free_vars else ()
+    single = [isinstance(dep, TGD) and len(dep.body) == 1 and all(len(d.atoms) <= 1 for d in dep.heads)
+              for dep in c.dependencies]
+    # the top instance, made only for the homomorphism search
+    top = base.with_facts(pool) if not all(single) or any(len(cq.atoms) > 1 for cq in cqs) else base
 
     def outside(facts: Iterable[Fact]) -> int:
         return sum(bit.get(f, 0) for f in set(facts))
@@ -212,8 +277,8 @@ def _compile(c: ConstraintSet, q: Optional[UCQ], base: Instance,
                     yield bit.get(f, 0), supports
 
     triggers = set()
-    for dep in c.dependencies:
-        if isinstance(dep, TGD) and len(dep.body) == 1 and all(len(d.atoms) <= 1 for d in dep.heads):
+    for dep, one_atom in zip(c.dependencies, single):
+        if one_atom:
             if all(d.atoms for d in dep.heads):  # an empty disjunct holds on every candidate
                 triggers.update(compiled(dep.body[0], dep.heads))
             continue
@@ -230,24 +295,32 @@ def _compile(c: ConstraintSet, q: Optional[UCQ], base: Instance,
                     continue
             triggers.add((outside(apply_hom(dep.body, h)), supports))
     matches = set()
-    if q is not None and not q.free_vars:
-        for cq in q.disjuncts:
-            if len(cq.atoms) == 1:
-                matches.update(compiled(cq.atoms[0], ()))
-            else:
-                matches.update((outside(apply_hom(cq.atoms, h)), frozenset())
-                               for h in find_homomorphisms(cq.atoms, top))
+    for cq in cqs:
+        if len(cq.atoms) == 1:
+            matches.update(compiled(cq.atoms[0], ()))
+        else:
+            matches.update((outside(apply_hom(cq.atoms, h)), frozenset())
+                           for h in find_homomorphisms(cq.atoms, top))
     return _index(triggers), _index(matches)
 
 
-def _search(c: ConstraintSet, q: Optional[UCQ], want: bool, base: Instance, pool: List[Fact],
+def _search(c: ConstraintSet, q: Optional[UCQ], want: bool, base: Instance, pool: Sequence[Fact],
             d: DomainBound) -> Iterator[Instance]:
-    """Every candidate of `_combinations(base, pool, d)`, in its order, that
-    satisfies `c` and on which `q` is True iff `want` (no query, like an
-    open one, is True on no candidate)."""
-    combos = _combinations(base, [1 << i for i in range(len(pool))], d)
+    """Every candidate of `_combinations(pool, _top(base, len(pool), d))`,
+    in its order, that satisfies `c` and on which `q` is True iff `want` (no
+    query, like an open one, is True on no candidate).
+
+    The size check counts the whole pool.  The candidates holding a pool
+    fact that alone makes a trigger without supports are then skipped: a
+    constraint trigger, or, when `q` must fail, a one-fact query match.
+    When such a trigger lies in the base, no candidate is left."""
+    top = _top(base, len(pool), d)
     constraints, query = _compile(c, q, base, pool)
-    for combo in combos:
+    dead = _unsupported(constraints) | (0 if want else _unsupported(query))
+    if dead < 0:
+        return
+    live = [1 << i for i in range(len(pool)) if not dead >> i & 1]
+    for combo in _combinations(live, top):
         s = sum(combo)
         if _violated(query, combo, s) == want and not _violated(constraints, combo, s):
             yield base.with_facts(pool[b.bit_length() - 1] for b in combo)
@@ -287,7 +360,7 @@ def enumerate_supersets(i: Instance, s: Schema, d: DomainBound,
                         extra_constants: Tuple[Const, ...] = ()) -> Iterator[Instance]:
     """All supersets of i (any relation) over the bounded domain."""
     base, pool = _superset_space(i, s, d, extra_constants)
-    for combo in _combinations(base, pool, d):
+    for combo in _combinations(pool, _top(base, len(pool), d)):
         yield base.with_facts(combo)
 
 

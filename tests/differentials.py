@@ -12,7 +12,7 @@ import random
 from typing import Iterable, Tuple
 
 from dqi.chase import ChaseBudget
-from dqi.core import ClassError, UCQ, eval_ucq, satisfies
+from dqi.core import Atom, ClassError, Const, Instance, UCQ, Var, eval_ucq, find_homomorphisms, satisfies
 from dqi.deciders import (
     decide_exists_nqi,
     decide_pqi,
@@ -57,6 +57,15 @@ from dqi.reductions import (
 )
 
 BUDGET = ChaseBudget(10000, 2000, 200)
+
+
+def instance_hom_exists(source: Instance, target: Instance) -> bool:
+    """Is there a homomorphism source -> target fixing constants?"""
+    atoms = [Atom(f.relation, tuple(v if isinstance(v, Const) else Var(f"n_{v.id}") for v in f.args))
+             for f in source.sorted_facts()]
+    for _ in find_homomorphisms(atoms, target):
+        return True
+    return False
 
 
 def _bound(v, extra_facts=6, ceiling=3e5):

@@ -8,6 +8,7 @@ import random
 import time
 
 import differentials as D
+from differentials import instance_hom_exists
 from dqi.chase import (
     BUDGET_CUT,
     ChaseBudget,
@@ -21,7 +22,6 @@ from dqi.core import (
     Instance,
     critical_instance,
     eval_ucq,
-    instance_hom_exists,
     satisfies,
 )
 from dqi.deciders import (

@@ -7,6 +7,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differentials import instance_hom_exists
 from dqi import chase
 from dqi.chase import (
     A_MARK,
@@ -52,7 +53,6 @@ from dqi.core import (
     fact_key,
     find_homomorphisms,
     head_matches,
-    instance_hom_exists,
     map_instance,
     normalize_single_head,
     satisfies,

@@ -17,6 +17,7 @@ from dqi.core import (
     Instance,
     RelationDecl,
     Schema,
+    SchemaError,
     TGD,
     Var,
     active_domain,
@@ -693,3 +694,25 @@ def test_translated_constants_lie_in_the_constants_nqi_gfp_detail_holds(monkeypa
         except ClassError:
             pass
     assert len(named) > 700 and sum(n > 0 for n in named) > 100
+
+
+def test_nqi_rejects_a_visible_instance_that_does_not_fit_the_schema():
+    # the instances the method builds over its own schema are not checked
+    # again, so `nqi_gfp_detail` checks `v` against `s` first: on the
+    # inclusion-dependency path and on the transform path (the constant
+    # head), a hidden fact and a fact of an undeclared relation are refused
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 2, False)))
+    x, y = Var("x"), Var("y")
+    q = boolean_ucq([Atom("H", (x, x))])
+    a = Const("a")
+    for head, method in ((Atom("V", (y,)), "greatest fixpoint"),
+                         (Atom("V", (Const("k"),)), "selected-attribute transform + greatest fixpoint")):
+        c = ConstraintSet((TGD((Atom("V", (x,)),), (HeadDisjunct((y,), (Atom("H", (x, y)),)),)),
+                           TGD((Atom("H", (x, y)),), (HeadDisjunct((), (head,)),))))
+        hidden = Instance(s, frozenset({Fact("V", (a,)), Fact("H", (a, a))}))
+        other = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True)))
+        undeclared = Instance(other, frozenset({Fact("W", (a,))}))
+        for v in (hidden, undeclared):
+            with pytest.raises(SchemaError):
+                nqi_gfp_detail(q, c, s, v)
+        assert nqi_gfp_detail(q, c, s, Instance(s, frozenset({Fact("V", (a,))})))[2] == method

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -429,3 +430,114 @@ def test_compiled_triggers_equal_the_matcher_reference():
     # each hand-written case compiles some trigger, except the one whose
     # empty disjunct holds everywhere
     assert set(_COMPILE_CASES) - nonempty == {"empty-head"}
+
+
+# ---------------------------------------------------------------------------
+# pool facts that no answer can hold
+
+
+def _tried(monkeypatch):
+    """The pool bits that each search hands to `_combinations`, recorded."""
+    seen = []
+    combinations = oracle._combinations
+
+    def recording(items, top):
+        seen.append(list(items))
+        return combinations(items, top)
+
+    monkeypatch.setattr(oracle, "_combinations", recording)
+    return seen
+
+
+def _facts(pool, bits):
+    return {pool[b.bit_length() - 1] for b in bits}
+
+
+_w0 = Const("!w0")
+
+
+def test_a_pool_fact_whose_lone_trigger_has_no_support_is_pruned(monkeypatch):
+    # H(x) -> W(x) with W visible: H(a) has its support W(a) in the base,
+    # H(!w0) has none; K(x) -> G(x): K(!w0) has the pool support G(!w0)
+    s = Schema((RelationDecl("W", 1, True), RelationDecl("H", 1, False),
+                RelationDecl("K", 1, False), RelationDecl("G", 1, False)))
+    c = ConstraintSet((TGD((Atom("H", (_x,)),), (HeadDisjunct((), (Atom("W", (_x,)),)),)),
+                       TGD((Atom("K", (_x,)),), (HeadDisjunct((), (Atom("G", (_x,)),)),))))
+    v = Instance(s, frozenset({Fact("W", (_a,))}))
+    d = DomainBound(1, 4, 1e5)
+    tried = _tried(monkeypatch)
+    models = list(_models(c, v, s, d))
+    _, pool = _extension_space(v, s, d, ())
+    assert _facts(pool, tried[0]) == set(pool) - {Fact("H", (_w0,))}
+    assert models == [f for f in enumerate_extensions(v, s, d) if satisfies(c, f)]
+    assert any(Fact("K", (_w0,)) in m.facts for m in models)
+
+
+def test_a_one_fact_query_match_prunes_only_when_the_query_must_fail(monkeypatch):
+    q, c, s = toy()  # R(x) -> H(x); q = exists x. H(x)
+    v = Instance(s, frozenset({Fact("R", (_a,))}))
+    d = DomainBound(1, 8, 1e5)
+    tried = _tried(monkeypatch)
+    assert oracle_pqi(q, c, s, v, d) == OracleAnswer(True, BOUNDED)
+    assert oracle_nqi(q, c, s, v, d).answer is False
+    assert oracle_owq(q, c, v, d) == OracleAnswer(True, BOUNDED)
+    pqi, nqi, owq = tried
+    hidden_pool = _extension_space(v, s, d, ())[1]
+    assert _facts(hidden_pool, pqi) == set()
+    assert _facts(hidden_pool, nqi) == {Fact("H", (_a,)), Fact("H", (_w0,))}
+    assert _facts(_superset_space(v, s, d, ())[1], owq) == {Fact("R", (_w0,))}
+
+
+def test_a_trigger_lying_in_the_base_ends_the_search_before_any_candidate(monkeypatch):
+    def no_candidate(*args):
+        raise AssertionError("tried a candidate")
+
+    monkeypatch.setattr(oracle, "_violated", no_candidate)
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("W", 1, True),
+                RelationDecl("H", 1, False)))
+    v = Instance(s, frozenset({Fact("V", (_a,))}))
+    d = DomainBound(1, 4, 1e5)
+    # a TGD whose base trigger no completion can support (W is visible),
+    # and an EGD clash in the base, which no superset mends either
+    tgd = ConstraintSet((TGD((_V(_x),), (HeadDisjunct((), (Atom("W", (_x,)),)),)),))
+    egd = ConstraintSet((EGD((_V(_x),), _x, Const("c")),))
+    for c in (tgd, egd):
+        assert oracle_realizable(c, s, v, d) == OracleAnswer(False, BOUNDED)
+    assert oracle_owq(boolean_ucq([_H(_x)]), egd, v, d) == OracleAnswer(True, BOUNDED)
+    # a query that the base satisfies, which a PQI or OWQ counterexample
+    # must falsify
+    no_constraints = ConstraintSet(())
+    q = boolean_ucq([_V(_x)])
+    assert oracle_pqi(q, no_constraints, s, v, d) == OracleAnswer(True, BOUNDED)
+    assert oracle_owq(q, no_constraints, v, d) == OracleAnswer(True, BOUNDED)
+
+
+def test_the_size_check_counts_the_pool_before_pruning():
+    # the pool is the 16 H facts over {a, !w0, !w1, !w2}; each matches the
+    # query that a PQI counterexample must falsify, so pruning leaves only
+    # the empty candidate, yet the size is that of the whole pool
+    s = Schema((RelationDecl("V", 1, True), RelationDecl("H", 2, False)))
+    q = boolean_ucq([_H(_x, _y)])
+    c = ConstraintSet(())
+    v = Instance(s, frozenset({Fact("V", (_a,))}))
+    full = sum(math.comb(16, k) for k in range(5))
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        oracle_pqi(q, c, s, v, DomainBound(extra_values=3, max_facts_total=5, space_ceiling=full - 1))
+    assert exc.value.size == full
+    r = oracle_pqi(q, c, s, v, DomainBound(extra_values=3, max_facts_total=5, space_ceiling=full))
+    assert r.answer is False and r.witness == v
+
+
+def test_a_space_over_the_ceiling_builds_no_pool(monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("built the pool of a space over the ceiling")
+
+    monkeypatch.setattr(oracle._Pool, "_facts", property(unbuilt))
+    q, c, s = toy()
+    v = Instance(s, frozenset({Fact("R", (_a,))}))
+    d = DomainBound(extra_values=8, max_facts_total=12, space_ceiling=10)
+    for ask in (lambda: oracle_pqi(q, c, s, v, d), lambda: oracle_nqi(q, c, s, v, d),
+                lambda: oracle_realizable(c, s, v, d), lambda: oracle_owq(q, c, v, d),
+                lambda: next(enumerate_extensions(v, s, d)), lambda: next(enumerate_supersets(v, s, d))):
+        with pytest.raises(SearchSpaceTooLarge):
+            ask()
