@@ -550,21 +550,15 @@ def facts_at(target: Instance, relation: str, arity: int,
 def matched_facts(atom: Atom, target: Instance, seed: Mapping[Var, Value]) -> List[Fact]:
     """The facts of `target` that `atom` matches under `seed`, in bucket
     order: the image of each match that `find_homomorphisms((atom,),
-    target, seed)` enumerates, in its order, with no match built."""
+    target, seed)` enumerates, in its order, with no match built.  The facts
+    keyed on the values `_known` fixes must also repeat the values at the
+    equal-position pairs of the atom's shape (`_shape`); the key already
+    holds a pair whose variable `seed` binds."""
     found = facts_at(target, atom.relation, len(atom.args), *_known(atom, seed))
-    equal = repeats(atom, seed)
+    equal = _shape(atom).equal
     if not equal:
         return list(found)
     return [f for f in found if all(f.args[i] == f.args[j] for i, j in equal)]
-
-
-def repeats(atom: Atom, seed: Mapping[Var, Value]) -> List[Tuple[int, int]]:
-    """The pairs of positions of `atom` that a variable `seed` leaves
-    unbound fills, each later position with the first: the values a fact
-    must repeat for `atom` to match it beyond the ones `_known` fixes."""
-    first: Dict[Var, int] = {}
-    return [(i, first[t]) for i, t in enumerate(atom.args)
-            if isinstance(t, Var) and t not in seed and first.setdefault(t, i) != i]
 
 
 H = TypeVar("H", bound=Hashable)
@@ -604,7 +598,9 @@ class Shape(NamedTuple):
     """An atom compiled into positions: its arity, its constants by
     position, the pairs of positions that a repeated variable fills (each
     later position with the first), and the first position of each
-    variable, in order of occurrence."""
+    variable, in order of occurrence.  It is the one compiled reading of an
+    atom: `support_lookup`, `matched_facts` and the maximal database of
+    `dqi.gfp` (its lookups and rule plans) all read it."""
     arity: int
     consts: List[Tuple[int, Const]]
     equal: List[Tuple[int, int]]
@@ -647,12 +643,13 @@ def support_lookup(
     A support is a fact that matches a head disjunct's atom where the
     disjunct's frontier variables take the body fact's values, or the empty
     support of an empty disjunct; the disjuncts must have at most one atom.
-    Each atom is compiled once into its shape (`_shape`), and the frontier
-    positions in the body and in each head are read off the shapes.  Each
-    disjunct's facts are indexed by the values at their frontier positions,
-    so a lookup checks the body fact once and makes one dict access per
-    disjunct (the compiled trigger lookup of ChaseBench-style engines,
-    Benedikt et al., PODS 2017).  It finds the supports that `head_matches`
+    Each atom is compiled once into its shape (`_shape`, the reading of an
+    atom that `matched_facts` and `dqi.gfp`'s maximal database share), and
+    the frontier positions in the body and in each head are read off the
+    shapes.  Each disjunct's facts are indexed by the values at their
+    frontier positions, so a lookup checks the body fact once and makes one
+    dict access per disjunct (the compiled trigger lookup of
+    ChaseBench-style engines, Benedikt et al., PODS 2017).  It finds the supports that `head_matches`
     finds for the body match `match_fact(body, fact, {})`."""
     shape = _shape(body)
     indexed: List[Tuple[List[int], Dict[Tuple[Value, ...], List[Support]]]] = []
@@ -691,6 +688,14 @@ def apply_hom(atoms: Sequence[Atom], mapping: Mapping[Var, Value]) -> Tuple[Fact
             args.append(v)
         out.append(Fact(a.relation, tuple(args)))
     return tuple(out)
+
+
+def apply_subst(atom: Atom, subst: Mapping[Var, Term]) -> Atom:
+    """`atom` with each variable that `subst` maps replaced by its image."""
+    return Atom(
+        atom.relation,
+        tuple(subst.get(t, t) if isinstance(t, Var) else t for t in atom.args),
+    )
 
 
 def map_instance(instance: Instance, value_map: Mapping[Value, Value]) -> Instance:

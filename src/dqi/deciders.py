@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple, Union
 from .core import (
     CQ,
     UCQ,
-    Atom,
     ClassError,
     Const,
     ConstraintSet,
@@ -26,6 +25,7 @@ from .core import (
     Value,
     Var,
     active_domain,
+    apply_subst,
     canonical_db,
     constant_names,
     eval_ucq,
@@ -293,11 +293,7 @@ def decide_exists_nqi(q: UCQ, c: ConstraintSet, s: Schema, b: ChaseBudget) -> Ve
 def _substitute(q: UCQ, binding: Dict[Var, Const]) -> UCQ:
     disjuncts = []
     for d in q.disjuncts:
-        atoms = tuple(
-            Atom(a.relation, tuple(binding.get(t, t) if isinstance(t, Var) else t for t in a.args))
-            for a in d.atoms
-        )
-        disjuncts.append(CQ((), d.exist_vars, atoms))
+        disjuncts.append(CQ((), d.exist_vars, tuple(apply_subst(a, binding) for a in d.atoms)))
     return UCQ(tuple(disjuncts))
 
 

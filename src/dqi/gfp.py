@@ -28,9 +28,9 @@ polynomial data time.  The pipeline has three stages:
    rules either all at once or only where one partially bound atom can
    match, whose known values ``core.bind`` binds to each rule head.  Each
    rule is compiled once, on its relation's first lookup, into a position
-   plan (``_rule_plan``): a key on its first extensional atom, read from a
-   hash table of the visible facts (``core.facts_at``), and a head
-   template filled from each fact found.
+   plan (``_rule_plan``): a key on the shape of its first extensional atom
+   (``core._shape``), read from a hash table of the visible facts
+   (``core.facts_at``), and a head template filled from each fact found.
 
 ``nqi_gfp_detail`` reads the class tags of the constraints once and picks
 the method: stage 1 runs unless they are inclusion dependencies without
@@ -77,6 +77,7 @@ from .core import (
     Var,
     active_domain,
     apply_hom,
+    apply_subst,
     bind,
     boolean_cq,
     constant_names,
@@ -86,7 +87,6 @@ from .core import (
     match_fact,
     matched_facts,
     normalize_single_head,
-    repeats,
     support_lookup,
     value_key,
     CONST_TAG,
@@ -94,6 +94,8 @@ from .core import (
     EGD_TAG,
     ID_TAG,
     LINEAR_TAG,
+    _shape,
+    _term_value,
 )
 from .chase import Pattern, _patterns, canon_pattern
 from .textio import _fo_atom
@@ -202,13 +204,6 @@ def _require_plain_linear(c: ConstraintSet, allow_disjunctive: bool = False) -> 
         raise ClassError("constraints must be linear TGDs (single body atom)")
 
 
-def _apply_subst(atom: Atom, subst: Mapping[Var, Term]) -> Atom:
-    return Atom(
-        atom.relation,
-        tuple(subst.get(t, t) if isinstance(t, Var) else t for t in atom.args),
-    )
-
-
 def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
     """Rewrite a linear-TGD problem into an equivalent one whose negative
     query implication always has an active-domain counterexample when it has
@@ -270,9 +265,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
         is a disjunct: a witness may place the existential value inside or
         outside the active domain, and each choice is sound on its own.
         """
-        z = tuple(
-            subst.get(t, t) if isinstance(t, Var) else t for t in head_atom.args
-        )
+        z = apply_subst(head_atom, subst).args
         decl = s.decl(head_atom.relation)
         z_vars = {t for t in z if isinstance(t, Var)}
         exist_here = tuple(v for v in exist_vars if v in z_vars)
@@ -328,7 +321,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
                 t: e if isinstance(e, Const) else rep.setdefault(e, t)
                 for t, e in entry_of.items()
             }
-            new_body = _apply_subst(copy_atom, subst)
+            new_body = apply_subst(copy_atom, subst)
             selected_vars = {t for t in new_body.args if isinstance(t, Var)}
             disjuncts = head_translation(
                 head.atoms[0], tuple(head.exist_vars), subst, selected_vars
@@ -362,7 +355,7 @@ def transform_adom(q: UCQ, c: ConstraintSet, s: Schema) -> AdomTransform:
                        for _, marks in combo for v, m in marks.items()):
                 continue
             subst = {v: m for v, m in global_marks.items() if isinstance(m, Const)}
-            atoms = tuple(_apply_subst(a, subst) for a, _ in combo)
+            atoms = tuple(apply_subst(a, subst) for a, _ in combo)
             cq = boolean_cq(atoms)
             if cq not in new_disjuncts:
                 new_disjuncts.append(cq)
@@ -474,7 +467,7 @@ def _shape_rules(c: ConstraintSet, s: Schema) -> List[Tuple[Atom, Tuple[Atom, ..
                 # rename the existentials apart before pinning the body
                 # variables, so a head variable can never capture a shape one
                 for ha in disjunct.atoms:
-                    atoms.append(_apply_subst(_apply_subst(ha, ren), m))
+                    atoms.append(apply_subst(apply_subst(ha, ren), m))
             rules.append((head, tuple(atoms)))
     return rules
 
@@ -601,7 +594,7 @@ class _MaximalDatabase:
                 for b in atoms:
                     for x in b.variables:
                         ren.setdefault(x, Var(f"{n}.{x.name}"))
-                gained.extend(_apply_subst(b, ren) for b in atoms)
+                gained.extend(apply_subst(b, ren) for b in atoms)
             self.rules.setdefault(head.relation, []).append((head, ext_atoms + tuple(gained)))
 
     def facts(self, atom: Optional[Atom] = None,
@@ -610,14 +603,15 @@ class _MaximalDatabase:
         each rule for its relation then runs, through its position plan
         (`_rule_plan`, compiled on the relation's first lookup), with the
         values that `atom` fixes at the head positions, its constants and
-        the variables `seed` binds, and the facts it derives must repeat
-        the values where a variable `seed` leaves unbound repeats
-        (`core.repeats`)."""
+        the variables `seed` binds (`core._term_value`), and the facts it
+        derives must repeat the values at the equal-position pairs of the
+        atom's shape (`core._shape`); a pair whose variable `seed` binds
+        holds already, since the plan binds that value at both positions."""
         if atom is None:
             known, relations, equal = None, list(self.rules), []
         else:
-            known = [t if isinstance(t, Const) else seed.get(t) for t in atom.args]
-            relations, equal = [atom.relation], repeats(atom, seed)
+            known = [_term_value(t, seed) for t in atom.args]
+            relations, equal = [atom.relation], _shape(atom).equal
         out: Set[Fact] = set()
         for rel in relations:
             plans = self.plans.get(rel)
@@ -642,25 +636,17 @@ def _rule_plan(
     them.
 
     The lookup's values are bound to the head once (`core.bind`).  The
-    rule's first extensional atom is then read from `ext` through
-    `core.facts_at`, keyed on its constants and on the values bound to its
-    variables; its repeated variables give the positions each fact must
-    repeat.  A rule without extensional atoms reads one empty row.  Each
-    head position is a constant, a position of that atom, or the slot of a
-    variable the atom leaves unbound, which ranges over the domain unless
-    the lookup binds it or the rule's other extensional atoms do
-    (`find_homomorphisms`, seeded from the first atom's fact).  Values the
-    atoms bind lie in the domain, so only a bound slot value is checked
-    against it."""
-    first_of: Dict[Var, int] = {}
-    consts: Dict[int, Value] = {}
-    equal: List[Tuple[int, int]] = []
-    width = len(ext_atoms[0].args) if ext_atoms else 0
-    for i, t in enumerate(ext_atoms[0].args if ext_atoms else ()):
-        if isinstance(t, Const):
-            consts[i] = t
-        elif first_of.setdefault(t, i) != i:
-            equal.append((i, first_of[t]))
+    rule's first extensional atom is compiled into its shape (`core._shape`)
+    and read from `ext` through `core.facts_at`, keyed on its constants and
+    on the values bound to its variables; each fact must repeat the values
+    at the shape's equal-position pairs.  A rule without extensional atoms
+    reads one empty row.  Each head position is a constant, a position of
+    that atom, or the slot of a variable the atom leaves unbound, which
+    ranges over the domain unless the lookup binds it or the rule's other
+    extensional atoms do (`find_homomorphisms`, seeded from the first atom's
+    fact).  Values the atoms bind lie in the domain, so only a bound slot
+    value is checked against it."""
+    width, consts, equal, first_of = _shape(ext_atoms[0]) if ext_atoms else (0, [], [], {})
     rest = tuple(ext_atoms[1:])
     slot_vars = [x for x in head.variables if x not in first_of]
     # the head as indexes into a row, then the slot values, then its terms
@@ -672,7 +658,7 @@ def _rule_plan(
         bound = {} if known is None else bind(head.args, known, {})
         if bound is None or (known is not None and len(known) != len(head.args)):
             return []
-        key = dict(consts)
+        key: Dict[int, Value] = dict(consts)
         for x, v in bound.items():
             if x in first_of:
                 if key.setdefault(first_of[x], v) != v:
@@ -791,7 +777,8 @@ def _largest_model(
     constant of `c` and `q` (`nqi_gfp_detail` passes the ones it collected
     before the transform), and those of `c` and `q` otherwise.  The TGD bodies
     and head disjuncts must be single atoms; a head disjunct may also be
-    empty.
+    empty.  `v` must hold only visible facts of `s`, which is not checked
+    here: `nqi_gfp_detail` validates it.
 
     Each trigger of a TGD on a fact is one obligation of that fact, and the
     facts matching the head of each disjunct are its supports: from `v` for
@@ -810,9 +797,6 @@ def _largest_model(
     explore, giving the whole largest model as the witness.
     """
     hidden = {r.name for r in s.hidden_relations}
-    for f in v.facts:
-        if f.relation in hidden:
-            raise SchemaError(f"{f.relation} is not extensional")
     if constants is None:
         constants = constant_names(c, q)
     maxdb = _MaximalDatabase(_shape_rules(c, s), constants, v)
@@ -874,10 +858,7 @@ def _largest_model(
 
     # phase 2: the other hidden facts, whose supports lie in phase 1's
     # survivors (which hold `v`) and in these facts themselves
-    rest = set().union(*(
-        maxdb.facts(Atom(r.name, tuple(Var(f"x{i}") for i in range(r.arity))))
-        for r in s.hidden_relations
-    )) - explored
+    rest = maxdb.facts() - explored
     facts_of: Dict[str, List[Fact]] = {}
     for f in itertools.chain(alive, rest):
         facts_of.setdefault(f.relation, []).append(f)

@@ -31,6 +31,7 @@ from .core import (
     TGD,
     Var,
     active_domain,
+    apply_subst,
     canonical_db,
     canonical_query,
     constant_names,
@@ -212,9 +213,7 @@ def ucq_to_cq(p: ProblemInstance) -> ProblemInstance:
         b_i, c_i = Var(f"tv{i}"), Var(f"acc{i + 1}")
         exist.extend([b_i, c_i])
         exist.extend(ren.values())
-        for a in d.atoms:
-            args = tuple(ren[t] if isinstance(t, Var) else t for t in a.args)
-            atoms.append(Atom(a.relation, args + (b_i,)))
+        atoms.extend(_extend_atom(apply_subst(a, ren), b_i) for a in d.atoms)
         atoms.append(Atom(or_name, (c_prev, b_i, c_i)))
         c_prev = c_i
     atoms.append(Atom(one_name, (c_prev,)))
@@ -258,9 +257,7 @@ def disj_to_constants(p: ProblemInstance) -> ProblemInstance:
                 # each disjunct's existential variables are scoped apart
                 ren = {x: _fresh_var(f"e{j}_{x.name}", used) for x in h.exist_vars}
                 exist.extend(ren.values())
-                for a in h.atoms:
-                    args = tuple(ren.get(t2, t2) if isinstance(t2, Var) else t2 for t2 in a.args)
-                    atoms.append(Atom(a.relation, args + (tag,)))
+                atoms.extend(_extend_atom(apply_subst(a, ren), tag) for a in h.atoms)
             atoms.append(Atom(or_names[len(t.heads)], tuple(tags)))
             deps.append(TGD(body, (HeadDisjunct(tuple(exist), tuple(atoms)),)))
 

@@ -560,6 +560,7 @@ _LOOKUP_RULES = [
     (Atom("J", (_z,)), (Atom("F", (_k, _z)),)),  # an atom constant
     (Atom("J", (_m,)), (Atom("E", (_x, _y)), Atom("F", (_y, _x)))),  # two atoms, a free variable
     (Atom("K", (Const("q"), _x)), (Atom("E", (_x, _y)),)),  # a constant outside the domain
+    (Atom("M", (_x, _y)), (Atom("T", (_x, _k, _x)),)),  # an atom constant and a repeated atom variable
 ]
 
 
@@ -582,10 +583,13 @@ def _maximal_database_by_brute_force(rules, constants, ext):
 
 def test_compiled_lookups_match_the_brute_force_database():
     a, b, c, out = Const("a"), Const("b"), Const("c"), Const("out")
-    s = Schema((RelationDecl("E", 2, True), RelationDecl("F", 2, True)))
+    s = Schema((RelationDecl("E", 2, True), RelationDecl("F", 2, True), RelationDecl("T", 3, True)))
+    # T holds facts that fit both the constant and the repeat of T(x, k, x),
+    # and facts that miss either or both with a first value no fit holds
     ext = Instance(s, frozenset(
         [Fact("E", args) for args in [(a, b), (b, b), (b, c), (c, a), (_k, _k)]]
-        + [Fact("F", args) for args in [(b, c), (c, c), (_k, a), (a, b)]]))
+        + [Fact("F", args) for args in [(b, c), (c, c), (_k, a), (a, b)]]
+        + [Fact("T", args) for args in [(a, _k, a), (b, _k, b), (c, _k, b), (c, a, c), (_k, a, c)]]))
     db = _MaximalDatabase(_LOOKUP_RULES, ("k",), ext)
     every = _maximal_database_by_brute_force(_LOOKUP_RULES, ("k",), ext)
     assert db.facts() == every
@@ -595,14 +599,14 @@ def test_compiled_lookups_match_the_brute_force_database():
     seeds = [{x: val for x, val in zip((_x, _y), vals) if val is not None}
              for vals in itertools.product((None, b, out), (None, c))]
     hits = Counter()
-    for rel, arity in (("H", 2), ("G", 3), ("J", 1), ("K", 2)):
+    for rel, arity in (("H", 2), ("G", 3), ("J", 1), ("K", 2), ("M", 2)):
         for args in itertools.product(terms, repeat=arity):
             atom = Atom(rel, args)
             for seed in seeds:
                 want = {f for f in every if match_fact(atom, f, seed) is not None}
                 assert db.facts(atom, seed) == want, (atom, seed)
                 hits[rel] += bool(want)
-    assert hits["H"] and hits["G"] and hits["J"] and not hits["K"]
+    assert hits["H"] and hits["G"] and hits["J"] and hits["M"] and not hits["K"]
 
 
 def test_nqi_decision_path_builds_no_datalog_program(monkeypatch):
