@@ -23,6 +23,15 @@ seeded inputs, one per suite:
   without the query stop (trace TSV plus every node's facts), and the
   classical chase with the query stop; then the visible chase tree of
   every instance of every fixture.
+- `cli`: `dqi.cli.main` on every `check`, `exists`, `oracle`, `reduce`,
+  `emit`, `chase` and `gfp` command, on every fixture, for each query and
+  instance the command takes and with none picked, the decision commands
+  also with `--json` (its `wallTimeMs` masked), plus usage errors; each
+  run's exit code, stdout, stderr and written files.  The runs read the
+  fixtures as `fixtures/<name>` and write files of fixed names, both in a
+  scratch directory, so nothing depends on where the checkout lives.  For
+  argparse's own help pages and usage errors only the exit code is hashed,
+  because argparse's wording differs between Python versions.
 
 A digest must not depend on the interpreter's hash seed, and a change that
 keeps every answer, witness, trigger order, node id, verdict and certificate
@@ -33,13 +42,20 @@ pin in `PINNED`:
 
 A change that means to alter some of these outputs updates that suite's pin.
 """
+import contextlib
 import hashlib
+import io
 import itertools
+import os
 import random
+import re
+import shutil
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 from dqi.chase import ChaseBudget, classical_chase, visible_chase
+from dqi.cli import main as cli_main
 from dqi import gfp
 from dqi.core import CQ, EGD, UCQ, Atom, ClassError, Const, ConstraintSet, Var, fact_key, value_key
 from dqi.deciders import (
@@ -80,6 +96,7 @@ PINNED = {
     "maxdb": "0f4f6cacc39403e800703b1421abd325ae487bb2950b121ba320c1c3e5cc2b33",
     "oracle": "a5b8bc59267a2a1bf817bb121ec03ac896d4efd336e2ebba17fd4ff0aeb7d6cc",
     "chase": "12901591a5e2c2f30a99aa3f803d5395887179ea107a07d7e910c45fc5d7676f",
+    "cli": "22e85d11332fa70c6ccc2c684696ade0b2461cadedb0fb4a13b26024b8c17f2a",
 }
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -282,8 +299,105 @@ def chase_lines():
 
 
 # ---------------------------------------------------------------------------
+# cli
 
-SUITES = {"nqi": nqi_lines, "maxdb": maxdb_lines, "oracle": oracle_lines, "chase": chase_lines}
+# (command, takes --query, takes --instance, prints a verdict, extra flags)
+CLI_COMMANDS = (
+    *((("check", p), p != "realizable", True, True, ()) for p in ("pqi", "nqi", "realizable", "owq")),
+    *((("exists", p), True, False, True, ()) for p in ("pqi", "nqi")),
+    *((("oracle", p), p != "realizable", True, True, ("--max-facts", "3"))
+      for p in ("pqi", "nqi", "realizable", "owq")),
+    *((("reduce", r), r != "real2nqi", r not in ("disj2const", "ensb2owq"), False, out)
+      for r in ("ucq2cq", "disj2const", "pqi2nqi", "owq2pqi", "owq2epqi", "nqi2real", "real2nqi", "ensb2owq")
+      for out in (("--out", "-"), ("--out", "out.dqi"))),
+    (("reduce", "pqi2nqi"), True, True, False, ("--out", "-", "--connected")),
+    *((("emit", "gnfo", p), True, True, False, out)
+      for p in ("pqi", "nqi") for out in ((), ("--out", "out.gnfo"))),
+    *((("chase", v), False, True, False, ("--trace", "trace.tsv")) for v in ("classical", "visible")),
+    (("chase", "critical"), False, False, False, ("--trace", "trace.tsv")),
+    (("gfp", "build"), True, False, False, ()),
+    (("gfp", "eval"), True, True, False, ("--trace", "trace.tsv")),
+)
+# budgets cut, a search space over its ceiling, and errors the CLI reports
+# itself, in the order it meets them: the file, then the budget or bound,
+# then the query, then the instance
+CLI_EDGES = (
+    ("check", "pqi", "--file", "fixtures/separation.dqi", "--budget-nodes", "1"),
+    ("check", "pqi", "--file", "fixtures/separation.dqi", "--budget-nodes", "1", "--json"),
+    ("oracle", "pqi", "--file", "fixtures/separation.dqi", "--space-ceiling", "1"),
+    ("oracle", "owq", "--file", "fixtures/separation.dqi", "--space-ceiling", "1", "--json"),
+    ("chase", "visible", "--file", "fixtures/separation.dqi", "--budget-depth", "1"),
+    ("chase", "classical", "--file", "fixtures/separation.dqi", "--budget-facts", "1"),
+    ("chase", "critical", "--file", "fixtures/separation.dqi", "--budget-depth", "1"),
+    ("check", "pqi", "--file", "fixtures/missing.dqi", "--budget-nodes", "0"),
+    ("check", "pqi", "--file", "fixtures/medical.dqi", "--budget-nodes", "0", "--query", "P"),
+    ("oracle", "nqi", "--file", "fixtures/medical.dqi", "--max-facts", "-1", "--query", "P"),
+    ("oracle", "owq", "--file", "fixtures/medical.dqi", "--space-ceiling", "nan"),
+    ("check", "owq", "--file", "fixtures/medical.dqi", "--query", "P", "--instance", "W"),
+    ("exists", "nqi", "--file", "fixtures/medical.dqi", "--query", "P"),
+    ("check", "realizable", "--file", "fixtures/medical.dqi", "--instance", "W"),
+    ("reduce", "owq2pqi", "--file", "fixtures/medical.dqi", "--query", "P", "--out", "-"),
+    ("emit", "gnfo", "nqi", "--file", "fixtures/medical.dqi", "--instance", "W"),
+    ("chase", "visible", "--file", "fixtures/medical.dqi", "--budget-depth", "-3"),
+    ("gfp", "eval", "--file", "fixtures/medical.dqi"),
+)
+# errors and help pages of argparse itself: only the exit code is hashed
+CLI_ARGPARSE = (
+    ("--help",), ("check", "--help"), ("check", "pqi", "--help"), ("reduce", "pqi2nqi", "--help"),
+    ("nonsense",), ("check",), ("check", "pqi"), ("exists", "nqi", "--file", "x", "--instance", "V"),
+    ("check", "realizable", "--file", "x", "--query", "Q"), ("oracle", "pqi", "--file", "x", "--max-facts", "z"),
+)
+
+
+def cli_runs():
+    """(argv, whether only the exit code is hashed) of every run."""
+    for path in sorted(FIXTURES.glob("*.dqi")):
+        pf = parse(path.read_text(encoding="utf-8"))
+        file = ("--file", f"fixtures/{path.name}")
+        for command, query, instance, verdict, extra in CLI_COMMANDS:
+            for q in [None, *sorted(pf.queries)] if query else [None]:
+                for i in [None, *sorted(pf.instances)] if instance else [None]:
+                    picks = (("--query", q) if q else ()) + (("--instance", i) if i else ())
+                    argv = command + file + picks + extra
+                    yield argv, False
+                    if verdict:
+                        yield argv + ("--json",), False
+    for argv in CLI_EDGES:
+        yield argv, False
+    for argv in CLI_ARGPARSE:
+        yield argv, True
+
+
+def cli_lines():
+    """Each run's argv, exit code, stdout and stderr, and the files it wrote
+    with their contents, from a scratch directory holding the fixtures."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        shutil.copytree(FIXTURES, os.path.join(scratch, "fixtures"))
+        os.chdir(scratch)
+        try:
+            for argv, code_only in cli_runs():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_main(list(argv))
+                written = []
+                for name in sorted(set(os.listdir(".")) - {"fixtures"}):
+                    with open(name, encoding="utf-8") as fh:
+                        written.append((name, fh.read()))
+                    os.remove(name)
+                if code_only:
+                    yield f"{argv!r} {code}\n", f"exit{code}"
+                    continue
+                stdout = re.sub(r'"wallTimeMs": [-+.e0-9]+', '"wallTimeMs": 0', out.getvalue())
+                yield f"{argv!r} {code} {stdout!r} {err.getvalue()!r} {written!r}\n", f"exit{code}"
+        finally:
+            os.chdir(here)
+
+
+# ---------------------------------------------------------------------------
+
+SUITES = {"nqi": nqi_lines, "maxdb": maxdb_lines, "oracle": oracle_lines, "chase": chase_lines,
+          "cli": cli_lines}
 
 
 def digest(suite):
