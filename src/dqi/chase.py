@@ -319,9 +319,8 @@ def classical_chase(i: Instance, c: ConstraintSet, b: ChaseBudget,
     (the result then carries the current instance with status saturated
     only if it genuinely is).
     """
-    for t in c.tgds:
-        if len(t.heads) > 1:
-            raise ClassError("classical chase requires non-disjunctive TGDs")
+    if DISJ_TAG in c.tags:
+        raise ClassError("classical chase requires non-disjunctive TGDs")
     return _chase_branch(i, c, b, tripwire=tripwire)
 
 

@@ -1,9 +1,10 @@
 """Command-line front end: `dqi <group> <command> ...`.
 
 Exit codes: 0 = the answer is True, 1 = False, 2 = Unknown (budget or
-incomplete method), 3 = usage error, malformed input, or a constraint-class
-violation.  With ``--json`` every decision command prints a RunReport
-object (documented in docs/report.md) on stdout instead of prose.
+incomplete method), 3 = usage error, malformed input, a constraint-class
+violation, or an output path that cannot be written.  With ``--json``
+every decision command prints a RunReport object (documented in
+docs/report.md) on stdout instead of prose.
 """
 from __future__ import annotations
 
@@ -21,15 +22,7 @@ from .chase import (
     classical_chase,
     visible_chase,
 )
-from .core import (
-    ClassError,
-    Const,
-    Instance,
-    Schema,
-    SchemaError,
-    UCQ,
-    value_name,
-)
+from .core import UCQ, Const, Instance, Schema, SchemaError, value_name
 from .deciders import (
     ChaseExhausted,
     ClassExact,
@@ -45,6 +38,8 @@ from .deciders import (
 from .gfp import build_gfp_program, eval_gfp, program_text
 from .oracle import DomainBound, SearchSpaceTooLarge, oracle_nqi, oracle_owq, oracle_pqi, oracle_realizable
 from .reductions import (
+    _NEEDS_INSTANCE,
+    _NEEDS_QUERY,
     EXISTS_NQI,
     EXISTS_PQI,
     NQI,
@@ -89,24 +84,40 @@ def _load(path: str) -> ProblemFile:
         raise UsageError(f"{path}: {e}") from e
 
 
-def _pick_query(pf: ProblemFile, name: Optional[str], path: str) -> UCQ:
-    if name is None:
-        if len(pf.queries) == 1:
-            return next(iter(pf.queries.values()))
-        raise UsageError(f"{path} defines queries {sorted(pf.queries)}; pick one with --query")
-    if name not in pf.queries:
-        raise UsageError(f"{path} has no query named {name!r} (it has {sorted(pf.queries)})")
-    return pf.queries[name]
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from e
 
 
-def _pick_instance(pf: ProblemFile, name: Optional[str], path: str) -> Instance:
+def _pick(named: Dict, name: Optional[str], path: str, flag: str, plural: str):
+    """The query or instance of the file that `--<flag> name` names, or its
+    only one when no name is given."""
     if name is None:
-        if len(pf.instances) == 1:
-            return next(iter(pf.instances.values()))
-        raise UsageError(f"{path} defines instances {sorted(pf.instances)}; pick one with --instance")
-    if name not in pf.instances:
-        raise UsageError(f"{path} has no instance named {name!r} (it has {sorted(pf.instances)})")
-    return pf.instances[name]
+        if len(named) == 1:
+            return next(iter(named.values()))
+        raise UsageError(f"{path} defines {plural} {sorted(named)}; pick one with --{flag}")
+    if name not in named:
+        raise UsageError(f"{path} has no {flag} named {name!r} (it has {sorted(named)})")
+    return named[name]
+
+
+def _query(pf: ProblemFile, args: argparse.Namespace) -> UCQ:
+    return _pick(pf.queries, args.query, args.file, "query", "queries")
+
+
+def _instance(pf: ProblemFile, args: argparse.Namespace) -> Instance:
+    return _pick(pf.instances, args.instance, args.file, "instance", "instances")
+
+
+def _problem(pf: ProblemFile, args: argparse.Namespace, kind: str) -> ProblemInstance:
+    """The problem of `kind` on the file's constraints and schema, with the
+    query and the instance that the kind takes."""
+    q = _query(pf, args) if kind in _NEEDS_QUERY else None
+    v = _instance(pf, args) if kind in _NEEDS_INSTANCE else None
+    return ProblemInstance(kind, pf.constraints, pf.schema, query=q, instance=v)
 
 
 def _budget(args: argparse.Namespace) -> ChaseBudget:
@@ -142,32 +153,19 @@ def _certificate_summary(certificate) -> Optional[Dict]:
     return {"kind": type(certificate).__name__}
 
 
-def _write_facts_tsv(path: str, instance: Instance) -> None:
+def _facts_tsv(instance: Instance) -> str:
     """One line per fact in sorted order: the relation, then each value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in instance.sorted_facts():
-            fh.write(f"{f.relation}\t" + "\t".join(value_name(a) for a in f.args) + "\n")
+    return "".join(f"{f.relation}\t" + "\t".join(value_name(a) for a in f.args) + "\n"
+                   for f in instance.sorted_facts())
 
 
-def _verdict_word(value: Optional[bool]) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return "unknown"
-
-
-def _exit_for(value: Optional[bool]) -> int:
-    if value is True:
-        return EXIT_TRUE
-    if value is False:
-        return EXIT_FALSE
-    return EXIT_UNKNOWN
+_WORD = {True: "true", False: "false", None: "unknown"}
+_EXIT = {True: EXIT_TRUE, False: EXIT_FALSE, None: EXIT_UNKNOWN}
 
 
 def _report(args: argparse.Namespace, verdict: Verdict, started: float,
             exactness: str, budget: Optional[ChaseBudget]) -> int:
-    word = _verdict_word(verdict.value)
+    word = _WORD[verdict.value]
     if args.json:
         payload = {
             "command": " ".join(args.command_echo),
@@ -194,7 +192,7 @@ def _report(args: argparse.Namespace, verdict: Verdict, started: float,
                 print(f"  {rel}({', '.join(vals)})")
         elif summary and summary["kind"] == "classExact":
             print(f"  exact method: {summary['method']}")
-    return _exit_for(verdict.value)
+    return _EXIT[verdict.value]
 
 
 def _exactness_of(verdict: Verdict) -> str:
@@ -207,98 +205,72 @@ def _exactness_of(verdict: Verdict) -> str:
 # command groups
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    pf = _load(args.file)
-    budget = _budget(args)
-    if args.problem == "pqi":
-        q = _pick_query(pf, args.query, args.file)
-        v = _pick_instance(pf, args.instance, args.file)
-        verdict = decide_pqi(q, pf.constraints, pf.schema, v, budget)
-    elif args.problem == "nqi":
-        q = _pick_query(pf, args.query, args.file)
-        v = _pick_instance(pf, args.instance, args.file)
-        verdict = decide_nqi(q, pf.constraints, pf.schema, v, budget)
-    elif args.problem == "realizable":
-        v = _pick_instance(pf, args.instance, args.file)
-        verdict = decide_realizable(pf.constraints, pf.schema, v, budget)
-    else:  # owq
-        q = _pick_query(pf, args.query, args.file)
-        i = _pick_instance(pf, args.instance, args.file)
-        verdict = decide_owq(q, pf.constraints, i, budget)
-    return _report(args, verdict, started, _exactness_of(verdict), budget)
+# the problem kind each subcommand of `check` and `oracle`, and of `exists`,
+# names; `reductions` says which kinds take a query and which an instance
+_INSTANCE_PROBLEMS = {"pqi": PQI, "nqi": NQI, "realizable": REALIZABILITY, "owq": OWQ}
+_EXISTS_PROBLEMS = {"pqi": EXISTS_PQI, "nqi": EXISTS_NQI}
 
-
-def _cmd_exists(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    pf = _load(args.file)
-    budget = _budget(args)
-    q = _pick_query(pf, args.query, args.file)
-    if args.problem == "pqi":
-        verdict = decide_exists_pqi(q, pf.constraints, pf.schema, budget)
-    else:
-        verdict = decide_exists_nqi(q, pf.constraints, pf.schema, budget)
-    return _report(args, verdict, started, _exactness_of(verdict), budget)
-
-
-_REDUCTIONS = {
-    "ucq2cq": (PQI, True, True),
-    "disj2const": (EXISTS_PQI, True, False),
-    "pqi2nqi": (PQI, True, True),
-    "owq2pqi": (OWQ, True, True),
-    "owq2epqi": (OWQ, True, True),
-    "nqi2real": (NQI, True, True),
-    "real2nqi": (REALIZABILITY, False, True),
-    "ensb2owq": (EXISTS_NQI, True, False),
+_DECIDERS = {
+    PQI: lambda p, b: decide_pqi(p.query, p.constraints, p.schema, p.instance, b),
+    NQI: lambda p, b: decide_nqi(p.query, p.constraints, p.schema, p.instance, b),
+    REALIZABILITY: lambda p, b: decide_realizable(p.constraints, p.schema, p.instance, b),
+    OWQ: lambda p, b: decide_owq(p.query, p.constraints, p.instance, b),
+    EXISTS_PQI: lambda p, b: decide_exists_pqi(p.query, p.constraints, p.schema, b),
+    EXISTS_NQI: lambda p, b: decide_exists_nqi(p.query, p.constraints, p.schema, b),
 }
+
+_ORACLES = {
+    PQI: lambda p, d: oracle_pqi(p.query, p.constraints, p.schema, p.instance, d),
+    NQI: lambda p, d: oracle_nqi(p.query, p.constraints, p.schema, p.instance, d),
+    REALIZABILITY: lambda p, d: oracle_realizable(p.constraints, p.schema, p.instance, d),
+    OWQ: lambda p, d: oracle_owq(p.query, p.constraints, p.instance, d),
+}
+
+# each reduction's name, input kind, and the call on its input problem
+_REDUCTIONS = {
+    "ucq2cq": (PQI, lambda p, args: ucq_to_cq(p)),
+    "disj2const": (EXISTS_PQI, lambda p, args: disj_to_constants(p)),
+    "pqi2nqi": (PQI, lambda p, args: pqi_to_nqi(p, connected=args.connected)),
+    "owq2pqi": (OWQ, lambda p, args: owq_to_pqi(p.query, p.constraints, p.instance)),
+    "owq2epqi": (OWQ, lambda p, args: owq_to_exists_pqi(p.query, p.constraints, p.instance)),
+    "nqi2real": (NQI, lambda p, args: nqi_to_realizability(p.query, p.constraints, p.schema, p.instance)),
+    "real2nqi": (REALIZABILITY, lambda p, args: realizability_to_nqi(p.constraints, p.schema, p.instance)),
+    "ensb2owq": (EXISTS_NQI, lambda p, args: exists_nqi_to_owq(p.query, p.constraints, p.schema)),
+}
+
+
+def _cmd_decide(args: argparse.Namespace) -> int:
+    started = time.monotonic()
+    pf = _load(args.file)
+    budget = _budget(args)
+    verdict = _DECIDERS[args.kind](_problem(pf, args, args.kind), budget)
+    return _report(args, verdict, started, _exactness_of(verdict), budget)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     pf = _load(args.file)
-    kind, needs_query, needs_instance = _REDUCTIONS[args.reduction]
-    q = _pick_query(pf, args.query, args.file) if needs_query else None
-    v = _pick_instance(pf, args.instance, args.file) if needs_instance else None
-
-    if args.reduction == "ucq2cq":
-        out = ucq_to_cq(ProblemInstance(PQI, pf.constraints, pf.schema, query=q, instance=v))
-    elif args.reduction == "disj2const":
-        out = disj_to_constants(ProblemInstance(EXISTS_PQI, pf.constraints, pf.schema, query=q))
-    elif args.reduction == "pqi2nqi":
-        out = pqi_to_nqi(ProblemInstance(PQI, pf.constraints, pf.schema, query=q, instance=v),
-                         connected=args.connected)
-    elif args.reduction == "owq2pqi":
-        out = owq_to_pqi(q, pf.constraints, v)
-    elif args.reduction == "owq2epqi":
-        out = owq_to_exists_pqi(q, pf.constraints, v)
-    elif args.reduction == "nqi2real":
-        out = nqi_to_realizability(q, pf.constraints, pf.schema, v)
-    elif args.reduction == "real2nqi":
-        out = realizability_to_nqi(pf.constraints, pf.schema, v)
-    else:  # ensb2owq
-        out = exists_nqi_to_owq(q, pf.constraints, pf.schema)
-
+    kind, reduction = _REDUCTIONS[args.reduction]
+    out = reduction(_problem(pf, args, kind), args)
     queries = {} if out.query is None else {"Q": out.query}
     instances = {} if out.instance is None else {"V": out.instance}
     text = serialize(ProblemFile(out.schema, out.constraints, queries, instances))
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"{out.kind} problem written to {args.out}")
     return EXIT_TRUE
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     pf = _load(args.file)
-    q = _pick_query(pf, args.query, args.file)
-    v = _pick_instance(pf, args.instance, args.file)
+    q = _query(pf, args)
+    v = _instance(pf, args)
     text = emit_gnfo(args.problem.upper(), q, pf.constraints, pf.schema, v)
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     return EXIT_TRUE
 
 
@@ -308,22 +280,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     bound = DomainBound(extra_values=args.extra_values,
                         max_facts_total=args.max_facts,
                         space_ceiling=args.space_ceiling)
+    problem = _problem(pf, args, args.kind)
     try:
-        if args.problem == "pqi":
-            q = _pick_query(pf, args.query, args.file)
-            v = _pick_instance(pf, args.instance, args.file)
-            answer = oracle_pqi(q, pf.constraints, pf.schema, v, bound)
-        elif args.problem == "nqi":
-            q = _pick_query(pf, args.query, args.file)
-            v = _pick_instance(pf, args.instance, args.file)
-            answer = oracle_nqi(q, pf.constraints, pf.schema, v, bound)
-        elif args.problem == "realizable":
-            v = _pick_instance(pf, args.instance, args.file)
-            answer = oracle_realizable(pf.constraints, pf.schema, v, bound)
-        else:  # owq
-            q = _pick_query(pf, args.query, args.file)
-            i = _pick_instance(pf, args.instance, args.file)
-            answer = oracle_owq(q, pf.constraints, i, bound)
+        answer = _ORACLES[args.kind](problem, bound)
     except SearchSpaceTooLarge as e:
         verdict = Verdict(None, reason=str(e))
         return _report(args, verdict, started, "BoundedOnly", None)
@@ -336,24 +295,21 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     budget = _budget(args)
     if args.variant == "classical":
-        i = _pick_instance(pf, args.instance, args.file)
-        result = classical_chase(i, pf.constraints, budget)
+        result = classical_chase(_instance(pf, args), pf.constraints, budget)
         print(f"status: {result.status}")
         print(f"facts: {len(result.instance.facts)}")
         if args.trace:
-            _write_facts_tsv(args.trace, result.instance)
+            _write(args.trace, _facts_tsv(result.instance))
         return EXIT_TRUE if result.status == SATURATED else EXIT_UNKNOWN
     if args.variant == "visible":
-        v = _pick_instance(pf, args.instance, args.file)
-        tree = visible_chase(pf.constraints, pf.schema, v, budget)
+        tree = visible_chase(pf.constraints, pf.schema, _instance(pf, args), budget)
         counts: Dict[str, int] = {}
         for node in tree.nodes.values():
             counts[node.status] = counts.get(node.status, 0) + 1
         for status in sorted(counts):
             print(f"{status}: {counts[status]}")
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(tree.trace_tsv())
+            _write(args.trace, tree.trace_tsv())
         return EXIT_TRUE if not counts.get(BUDGET_CUT) else EXIT_UNKNOWN
     # critical
     result = chase_vis_critical(pf.constraints, pf.schema, Const(args.value), budget)
@@ -361,28 +317,27 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     for f in result.instance.sorted_facts():
         print(f"  {f.relation}({', '.join(value_name(a) for a in f.args)})")
     if args.trace:
-        _write_facts_tsv(args.trace, result.instance)
+        _write(args.trace, _facts_tsv(result.instance))
     return EXIT_TRUE if result.status == SATURATED else EXIT_UNKNOWN
 
 
 def _cmd_gfp(args: argparse.Namespace) -> int:
     pf = _load(args.file)
-    q = _pick_query(pf, args.query, args.file)
-    program = build_gfp_program(q, pf.constraints, pf.schema)
+    program = build_gfp_program(_query(pf, args), pf.constraints, pf.schema)
     if args.action == "build":
         sys.stdout.write(program_text(program))
         return EXIT_TRUE
-    v = _pick_instance(pf, args.instance, args.file)
+    v = _instance(pf, args)
     visible_names = {r.name for r in pf.schema.visible_relations}
     ext = Instance(
         Schema(tuple(r for r in pf.schema.relations if r.visible)),
         frozenset(f for f in v.facts if f.relation in visible_names),
     )
     goal, fixpoint = eval_gfp(program, ext)
-    print(f"goal: {_verdict_word(goal)}")
+    print(f"goal: {_WORD[goal]}")
     print(f"fixpoint facts: {len(fixpoint.facts)}")
     if args.trace:
-        _write_facts_tsv(args.trace, fixpoint)
+        _write(args.trace, _facts_tsv(fixpoint))
     return EXIT_TRUE if goal else EXIT_FALSE
 
 
@@ -399,6 +354,15 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="chase depth budget (default %(default)s)")
 
 
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--extra-values", type=int, default=1,
+                   help="fresh domain values beyond the instance (default %(default)s)")
+    p.add_argument("--max-facts", type=int, default=12,
+                   help="total fact bound per candidate (default %(default)s)")
+    p.add_argument("--space-ceiling", type=float, default=5e6,
+                   help="abort above this search-space estimate (default %(default)s)")
+
+
 def _add_common(p: argparse.ArgumentParser, query: bool, instance: bool) -> None:
     p.add_argument("--file", required=True, help=".dqi problem file")
     if query:
@@ -406,6 +370,26 @@ def _add_common(p: argparse.ArgumentParser, query: bool, instance: bool) -> None
     if instance:
         p.add_argument("--instance", help="instance name inside the file")
     p.add_argument("--json", action="store_true", help="print a JSON RunReport")
+
+
+def _add_problems(group: argparse.ArgumentParser, dest: str, kinds: Dict[str, str],
+                  add_flags, handler, help_kind: bool = False) -> None:
+    """One subcommand per name of `kinds`, taking the `--query` and
+    `--instance` its problem kind takes, then the flags `add_flags` adds;
+    with `help_kind` its help line names the kind."""
+    sub = group.add_subparsers(dest=dest, required=True)
+    for name, kind in kinds.items():
+        p = sub.add_parser(name, help=f"input kind: {kind}") if help_kind else sub.add_parser(name)
+        _add_common(p, kind in _NEEDS_QUERY, kind in _NEEDS_INSTANCE)
+        add_flags(p, name)
+        p.set_defaults(handler=handler, kind=kind)
+
+
+def _add_reduce_flags(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--out", required=True, help="output .dqi path, or - for stdout")
+    if name == "pqi2nqi":
+        p.add_argument("--connected", action="store_true",
+                       help="keep the output constraint bodies connected")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,36 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     groups = root.add_subparsers(dest="group", required=True)
 
     check = groups.add_parser("check", help="instance-level decision problems")
-    check_sub = check.add_subparsers(dest="problem", required=True)
-    for name, query, instance in (
-        ("pqi", True, True),
-        ("nqi", True, True),
-        ("realizable", False, True),
-        ("owq", True, True),
-    ):
-        p = check_sub.add_parser(name)
-        _add_common(p, query, instance)
-        _add_budget_flags(p)
-        p.set_defaults(handler=_cmd_check)
-
+    _add_problems(check, "problem", _INSTANCE_PROBLEMS, lambda p, _: _add_budget_flags(p), _cmd_decide)
     exists = groups.add_parser("exists", help="schema-level existence problems")
-    exists_sub = exists.add_subparsers(dest="problem", required=True)
-    for name in ("pqi", "nqi"):
-        p = exists_sub.add_parser(name)
-        _add_common(p, query=True, instance=False)
-        _add_budget_flags(p)
-        p.set_defaults(handler=_cmd_exists)
-
+    _add_problems(exists, "problem", _EXISTS_PROBLEMS, lambda p, _: _add_budget_flags(p), _cmd_decide)
     reduce_ = groups.add_parser("reduce", help="answer-preserving problem transformations")
-    reduce_sub = reduce_.add_subparsers(dest="reduction", required=True)
-    for name, (kind, needs_query, needs_instance) in _REDUCTIONS.items():
-        p = reduce_sub.add_parser(name, help=f"input kind: {kind}")
-        _add_common(p, needs_query, needs_instance)
-        p.add_argument("--out", required=True, help="output .dqi path, or - for stdout")
-        if name == "pqi2nqi":
-            p.add_argument("--connected", action="store_true",
-                           help="keep the output constraint bodies connected")
-        p.set_defaults(handler=_cmd_reduce)
+    _add_problems(reduce_, "reduction", {name: kind for name, (kind, _) in _REDUCTIONS.items()},
+                  _add_reduce_flags, _cmd_reduce, help_kind=True)
 
     emit = groups.add_parser("emit", help="emit logical encodings")
     emit_sub = emit.add_subparsers(dest="encoding", required=True)
@@ -456,22 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     gnfo.set_defaults(handler=_cmd_emit)
 
     oracle = groups.add_parser("oracle", help="bounded brute-force reference answers")
-    oracle_sub = oracle.add_subparsers(dest="problem", required=True)
-    for name, query, instance in (
-        ("pqi", True, True),
-        ("nqi", True, True),
-        ("realizable", False, True),
-        ("owq", True, True),
-    ):
-        p = oracle_sub.add_parser(name)
-        _add_common(p, query, instance)
-        p.add_argument("--extra-values", type=int, default=1,
-                       help="fresh domain values beyond the instance (default %(default)s)")
-        p.add_argument("--max-facts", type=int, default=12,
-                       help="total fact bound per candidate (default %(default)s)")
-        p.add_argument("--space-ceiling", type=float, default=5e6,
-                       help="abort above this search-space estimate (default %(default)s)")
-        p.set_defaults(handler=_cmd_oracle)
+    _add_problems(oracle, "problem", _INSTANCE_PROBLEMS, lambda p, _: _add_oracle_flags(p), _cmd_oracle)
 
     chase = groups.add_parser("chase", help="run a chase and inspect it")
     chase_sub = chase.add_subparsers(dest="variant", required=True)
@@ -510,14 +455,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors; fold into our usage code
         return EXIT_USAGE if e.code not in (0, None) else 0
     args.command_echo = ["dqi"] + argv
-    if not hasattr(args, "json"):
-        args.json = False
     try:
         return args.handler(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ClassError, SchemaError, ValueError) as e:
+    except ValueError as e:  # UsageError, and the library's ClassError, SchemaError and ParseError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,12 +2,14 @@ import json
 import pathlib
 import random
 import re
+import shlex
 
 import pytest
 
 from dqi.cli import EXIT_FALSE, EXIT_TRUE, EXIT_UNKNOWN, EXIT_USAGE, main
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 MEDICAL = str(FIXTURES / "medical.dqi")
 SEPARATION = str(FIXTURES / "separation.dqi")
 CONTROLLABILITY = str(FIXTURES / "controllability.dqi")
@@ -162,6 +164,33 @@ def test_usage_errors(capsys):
     # a file with two instances demands an explicit --instance
     code, _, err = run(capsys, "check", "pqi", "--file", MEDICAL)
     assert code == EXIT_USAGE and "instance" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "pqi2nqi", "--file", MEDICAL, "--instance", "Vsmith", "--out"),
+    ("emit", "gnfo", "pqi", "--file", MEDICAL, "--instance", "Vsmith", "--out"),
+    ("chase", "classical", "--file", SEPARATION, "--trace"),
+    ("chase", "visible", "--file", SEPARATION, "--trace"),
+    ("chase", "critical", "--file", CONTROLLABILITY, "--trace"),
+    ("gfp", "eval", "--file", MEDICAL, "--instance", "Vsmith", "--trace"),
+])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *argv, path)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+def test_every_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("dqi ")]
+    assert len(examples) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv[1:]]
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_TRUE, EXIT_FALSE, EXIT_UNKNOWN), (argv, err)
 
 
 def test_an_arity_beyond_the_index_range_is_a_parse_error(tmp_path, capsys):
